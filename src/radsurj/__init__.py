@@ -41,7 +41,6 @@ from .tower import (
     is_suspicious,
     normal_form,
     normalized_remainder,
-    validate_tower,
 )
 
 __version__ = "0.1.0"
@@ -85,6 +84,5 @@ __all__ = [
     "is_suspicious",
     "normal_form",
     "normalized_remainder",
-    "validate_tower",
     "__version__",
 ]

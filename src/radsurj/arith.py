@@ -15,6 +15,7 @@ and Fractions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -65,15 +66,6 @@ class VarTable:
             return self.names.index(name)
         except ValueError:
             raise StructuralError(f"unknown variable {name!r}") from None
-
-    def role(self, i: int) -> Role:
-        return self.roles[i]
-
-    def with_var(self, name: str, role: Role) -> "VarTable":
-        return VarTable(self.names + (name,), self.roles + (role,))
-
-    def indices_with_role(self, role: Role) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r is role)
 
 
 def _grlex_key(expo: Exponent) -> tuple[int, Exponent]:
@@ -297,19 +289,6 @@ class MultiPoly:
             out[tuple(new_expo)] = out.get(tuple(new_expo), Fraction(0)) + c
         return MultiPoly(new_table, out)
 
-    def eval_exact(self, values: Sequence[Fraction | int]) -> Fraction:
-        if len(values) != self.table.arity:
-            raise StructuralError("evaluation point has wrong arity")
-        vals = [_as_fraction(v) for v in values]
-        total = Fraction(0)
-        for expo, c in self.coeffs.items():
-            term = c
-            for v, k in zip(vals, expo):
-                if k:
-                    term *= v**k
-            total += term
-        return total
-
     def eval_complex(self, values: Sequence[complex]) -> complex:
         if len(values) != self.table.arity:
             raise StructuralError("evaluation point has wrong arity")
@@ -481,8 +460,13 @@ def prem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     return r
 
 
-def _resultant_edges(a: MultiPoly, b: MultiPoly, var: int):
-    """Shared trivial cases; returns a result or None to continue."""
+def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
+    """Res_var(a, b) by the subresultant remainder sequence.
+
+    Sign convention: Res(a, b) = lc(a)^deg(b) * prod of b over the roots
+    of a, which is the determinant of the Sylvester matrix with deg(b)
+    rows of a-coefficients on top.
+    """
     a._check(b)
     if a.is_zero() or b.is_zero():
         return MultiPoly.zero(a.table)
@@ -493,21 +477,8 @@ def _resultant_edges(a: MultiPoly, b: MultiPoly, var: int):
         return b ** int(da)
     if da == 0:
         return a ** int(db)
-    return None
-
-
-def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Res_var(a, b) by the subresultant remainder sequence.
-
-    Sign convention: Res(a, b) = lc(a)^deg(b) * prod of b over the roots
-    of a, which is the determinant of the Sylvester matrix with deg(b)
-    rows of a-coefficients on top.
-    """
-    hit = _resultant_edges(a, b, var)
-    if hit is not None:
-        return hit
     table = a.table
-    da, db = int(a.degree(var)), int(b.degree(var))
+    da, db = int(da), int(db)
     sign = 1
     if da < db:
         a, b = b, a
@@ -545,44 +516,6 @@ def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     return res if sign > 0 else -res
 
 
-def resultant_det(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Res_var(a, b) as the Sylvester determinant, by Bareiss elimination.
-
-    Same convention as resultant(); the two implementations cross-check
-    each other in the test suite.
-    """
-    hit = _resultant_edges(a, b, var)
-    if hit is not None:
-        return hit
-    table = a.table
-    da, db = int(a.degree(var)), int(b.degree(var))
-    acoef = [a.coeff_poly(var, k) for k in range(da, -1, -1)]
-    bcoef = [b.coeff_poly(var, k) for k in range(db, -1, -1)]
-    n = da + db
-    zero = MultiPoly.zero(table)
-    mat: list[list[MultiPoly]] = []
-    for i in range(db):
-        mat.append([zero] * i + acoef + [zero] * (db - 1 - i))
-    for i in range(da):
-        mat.append([zero] * i + bcoef + [zero] * (da - 1 - i))
-    sign = 1
-    prev = MultiPoly.one(table)
-    for k in range(n - 1):
-        if mat[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not mat[r][k].is_zero()), None)
-            if pivot_row is None:
-                return zero
-            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = exact_div(mat[k][k] * mat[i][j] - mat[i][k] * mat[k][j], prev)
-            mat[i][k] = zero
-        prev = mat[k][k]
-    det = mat[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
 # ----------------------------------------------------------------------
 # gcd, content, squarefree part
 
@@ -591,23 +524,14 @@ def _unit_normalize(f: MultiPoly) -> MultiPoly:
     """Scale to integer coefficients with content 1 and positive lead."""
     if f.is_zero():
         return f
-    denom_lcm = 1
-    num_gcd = 0
-    for c in f.coeffs.values():
-        denom_lcm = denom_lcm * c.denominator // _int_gcd(denom_lcm, c.denominator)
-        num_gcd = _int_gcd(num_gcd, c.numerator)
-    scale = Fraction(denom_lcm, num_gcd)
+    coeffs = f.coeffs.values()
+    scale = Fraction(
+        math.lcm(*(c.denominator for c in coeffs)), math.gcd(*(c.numerator for c in coeffs))
+    )
     out = f * scale
     if out.leading_term()[1] < 0:
         out = -out
     return out
-
-
-def _int_gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def content_wrt(f: MultiPoly, var: int) -> MultiPoly:

@@ -16,7 +16,7 @@ from pathlib import Path
 from .arith import weighted_degree
 from .errors import InputError, NumericError, ResourceError
 from .ideal import DEFAULT_STEP_BUDGET
-from .missing import implicitize, missing_candidates
+from .missing import filtered_candidates, implicitize, missing_candidates
 from .parser import parse_poly, parse_source
 from .report import (
     envelope,
@@ -111,15 +111,27 @@ def build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merged(args: argparse.Namespace, settings: dict[str, str]) -> tuple[str, str]:
-    """Flags win over the file's settings block, which wins over defaults."""
-    mode = args.mode or settings.get("mode", "guilty")
-    ideal = args.ideal or settings.get("ideal", "auto")
+def _settings(args: argparse.Namespace, settings: dict[str, str]) -> tuple[str, str, int | None]:
+    """Mode, ideal strategy and points for any command.
+
+    Flags win over the file's settings block, which wins over defaults.
+    The whole block is checked, whichever command reads it.
+    """
+    for key in settings:
+        if key not in ("mode", "ideal", "points"):
+            raise InputError(f"settings: unknown key {key!r}")
+    mode = getattr(args, "mode", None) or settings.get("mode", "guilty")
+    ideal = getattr(args, "ideal", None) or settings.get("ideal", "auto")
+    points = getattr(args, "points", None)
+    if points is None:
+        points = settings.get("points")
     if mode not in ("guilty", "suspicious"):
         raise InputError(f"settings: unknown mode {mode!r}")
     if ideal not in ("exact", "gcd", "auto"):
         raise InputError(f"settings: unknown ideal strategy {ideal!r}")
-    return mode, ideal
+    if points is not None and not (str(points).isdigit() and int(points) > 0):
+        raise InputError(f"points must be a positive integer, got {points!r}")
+    return mode, ideal, None if points is None else int(points)
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -128,13 +140,13 @@ def _run(args: argparse.Namespace) -> int:
     param = src.param
     for note in src.notes:
         print(f"note: {note}", file=sys.stderr)
+    mode, ideal, points = _settings(args, src.settings)
 
     started = time.perf_counter()
     doc = envelope(args.command, param)
     code = EXIT_OK
 
     if args.command == "check":
-        mode, ideal = _merged(args, src.settings)
         report = check_surjective(param, mode=mode, strategy=ideal, step_budget=args.budget)
         doc["surjectivity"] = surjectivity_json(report, param)
         code = EXIT_OK if report.certified else EXIT_INCONCLUSIVE
@@ -142,11 +154,8 @@ def _run(args: argparse.Namespace) -> int:
         report = missing_candidates(param, step_budget=args.budget)
         doc["missing"] = missing_json(report, param)
     elif args.command == "sample":
-        points = args.points
-        if points is None and "points" in src.settings:
-            points = int(src.settings["points"])
         samples = None if points is None else default_samples(points)
-        cand = missing_candidates(param, step_budget=args.budget)
+        cand = filtered_candidates(param, step_budget=args.budget)
         for note in cand.notes:
             print(f"note: {note}", file=sys.stderr)
         cloud = sample_images(param, samples, tol=args.tol, implicit=cand.implicit)
@@ -177,16 +186,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_argparser().parse_args(argv)
     try:
         return _run(args)
-    except OSError as exc:
+    except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except NumericError as exc:
+    except (ResourceError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -20,8 +20,8 @@ class DomainError(RadsurjError):
     """Operation applied outside its mathematical domain.
 
     Examples: resultant in a variable absent from both arguments,
-    a zero polynomial where a nonzero one is required, the fast
-    single-level guilt test on a tower of height other than one.
+    a zero polynomial where a nonzero one is required, guilt of a
+    polynomial that vanishes modulo the tower.
     """
 
 
@@ -51,7 +51,3 @@ class NumericError(RadsurjError):
     def __init__(self, message: str, best=None):
         super().__init__(message)
         self.best = best
-
-
-class UnsupportedOracleError(RadsurjError):
-    """A cross-check oracle was asked for a shape it does not cover."""

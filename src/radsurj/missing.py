@@ -246,23 +246,34 @@ def implicitize(
 
 
 @dataclass(frozen=True)
-class MissingPointReport:
+class CandidateSet:
+    """Candidate missing points and the polynomials that produced them."""
+
     candidates: tuple[tuple[complex, ...], ...]
-    hyp1_bound: int | None
-    infinity_bound: int
-    condition2: tuple[Condition2Locus, ...]
     polys: CandidatePolySet
     implicit: tuple[MultiPoly, ...] | None
     notes: tuple[str, ...]
 
 
-def missing_candidates(
+@dataclass(frozen=True)
+class MissingPointReport(CandidateSet):
+    """The candidate set plus both bounds and the condition-2 loci."""
+
+    infinity_bound: int
+    condition2: tuple[Condition2Locus, ...]
+
+    @property
+    def hyp1_bound(self) -> int | None:
+        return self.polys.hyp1_bound
+
+
+def filtered_candidates(
     param: RadicalParametrization,
     implicit: Sequence[MultiPoly] | None = None,
     filter_tol: float = DEFAULT_FILTER_TOL,
     step_budget: int = DEFAULT_STEP_BUDGET,
-) -> MissingPointReport:
-    """Cartesian candidates filtered by the implicit equations, plus bounds."""
+) -> CandidateSet:
+    """Cartesian candidates filtered by the implicit equations."""
     notes: list[str] = []
     polys = candidate_polys(param)
     if implicit is None:
@@ -287,15 +298,31 @@ def missing_candidates(
             if implicit and any(scaled_residual(g, tup) > filter_tol for g in implicit):
                 continue
             candidates.append(tup)
-    locus = tuple(condition2_locus(param, i, step_budget) for i in range(1, param.n + 1))
-    if any(loc.classification == "unknown" for loc in locus):
-        notes.append("condition-2 locus budget exhausted for some component")
-    return MissingPointReport(
+    return CandidateSet(
         tuple(candidates),
-        polys.hyp1_bound,
-        infinity_bound(param.tower),
-        locus,
         polys,
         tuple(implicit) if implicit is not None else None,
         tuple(notes),
+    )
+
+
+def missing_candidates(
+    param: RadicalParametrization,
+    implicit: Sequence[MultiPoly] | None = None,
+    filter_tol: float = DEFAULT_FILTER_TOL,
+    step_budget: int = DEFAULT_STEP_BUDGET,
+) -> MissingPointReport:
+    """Filtered candidates plus both bounds and the condition-2 loci."""
+    found = filtered_candidates(param, implicit, filter_tol, step_budget)
+    notes = found.notes
+    locus = tuple(condition2_locus(param, i, step_budget) for i in range(1, param.n + 1))
+    if any(loc.classification == "unknown" for loc in locus):
+        notes += ("condition-2 locus budget exhausted for some component",)
+    return MissingPointReport(
+        found.candidates,
+        found.polys,
+        found.implicit,
+        notes,
+        infinity_bound(param.tower),
+        locus,
     )

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .arith import MultiPoly, Role, VarTable
 from .errors import ParseError
 from .surjcheck import RadicalParametrization, normalize_param
-from .tower import RadicalLevel, validate_tower
+from .tower import RadicalLevel, RadicalTower
 
 _SYMBOLS = ("{", "}", "(", ")", ";", "=", "+", "-", "*", "/", "^")
 
@@ -272,7 +272,7 @@ def parse_source(text: str) -> SourceParse:
     levels = [
         RadicalLevel(n, e, _to_poly(ast, table)) for n, e, ast in level_decls
     ]
-    tower = validate_tower(table, levels)
+    tower = RadicalTower(table, levels)
     pairs = []
     for _, num, den in comp_decls:
         p = _to_poly(num, table)

@@ -137,20 +137,14 @@ def missing_json(report: MissingPointReport, param: RadicalParametrization) -> d
     }
 
 
-def sample_json(
-    report: SampleReport,
-    verdicts: Sequence[CandidateVerdict] | None = None,
-) -> dict:
-    doc = {
+def sample_json(report: SampleReport, verdicts: Sequence[CandidateVerdict]) -> dict:
+    return {
         "sample_count": report.sample_count,
         "accepted": len(report.accepted),
         "rejected": report.rejected,
         "max_implicit_residual": report.max_implicit_residual,
         "denominator_tol": report.denominator_tol,
-        "candidates": None,
-    }
-    if verdicts is not None:
-        doc["candidates"] = [
+        "candidates": [
             {
                 "candidate": _point(v.candidate),
                 "verdict": v.verdict,
@@ -158,8 +152,8 @@ def sample_json(
                 "distance": v.distance,
             }
             for v in verdicts
-        ]
-    return doc
+        ],
+    }
 
 
 def implicit_json(generators: Sequence[MultiPoly]) -> dict:

@@ -20,7 +20,6 @@ from .surjcheck import RadicalParametrization
 from .tower import RadicalTower
 
 DEFAULT_BRANCH_TOL = 1e-9
-DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_MATCH_TOL = 1e-3
 DEFAULT_ROOT_TOL = 1e-10
 
@@ -127,7 +126,6 @@ class BranchPoint:
     t0: complex
     deltas: tuple[complex, ...]
     image: tuple[complex, ...]
-    den_mags: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ def sample_images(
             image = tuple(
                 c.numerator.eval_complex(point) / d for c, d in zip(param.components, dens)
             )
-            accepted.append(BranchPoint(t0, deltas, image, tuple(abs(d) for d in dens)))
+            accepted.append(BranchPoint(t0, deltas, image))
             if implicit:
                 worst = max(scaled_residual(g, image) for g in implicit)
                 max_residual = worst if max_residual is None else max(max_residual, worst)
@@ -220,15 +218,8 @@ def _refine(
     """Shrinking ring search for the parameter value closest to candidate."""
 
     def best_at(t: complex) -> float:
-        out = math.inf
-        for deltas in enumerate_branches(param.tower, t):
-            point = [t, *deltas]
-            dens = [c.denominator.eval_complex(point) for c in param.components]
-            if any(abs(d) <= tol for d in dens):
-                continue
-            image = [c.numerator.eval_complex(point) / d for c, d in zip(param.components, dens)]
-            out = min(out, _image_distance(image, candidate))
-        return out
+        cloud = sample_images(param, [t], tol).accepted
+        return min((_image_distance(pt.image, candidate) for pt in cloud), default=math.inf)
 
     center, dist = t0, best_at(t0)
     radius = 0.5

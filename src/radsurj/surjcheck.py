@@ -21,7 +21,7 @@ when the budget runs out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -241,17 +241,12 @@ def check_surjective(
             )
         all_hyp2 = all_hyp2 and established
         enriched.append(
-            ComponentEvidence(
-                rec.index,
-                rec.num_degree,
-                rec.den_degree,
-                rec.degree_condition,
-                rec.guilt,
-                rec.suspicion,
-                established,
-                route,
-                exact_res,
-                gcd_res,
+            replace(
+                rec,
+                hyp2_established=established,
+                hyp2_route=route,
+                hyp2_exact=exact_res,
+                hyp2_gcd=gcd_res,
             )
         )
     if witness is None:

@@ -12,8 +12,7 @@ g_i may mention t and the earlier radicals only.  This module provides
     by eliminating the radicals with successive resultants, together
     with its full elimination trace,
   * the guilt and suspicion predicates on which the surjectivity
-    certificates rest, and
-  * a fast single-level guilt test that avoids computing R(f).
+    certificates rest.
 
 Polynomials handed to these operators may live over a table larger
 than the tower's own (extra coordinate or inverse variables); those
@@ -22,14 +21,12 @@ variables are carried through inertly with weight 0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Sequence
 
 from .arith import (
-    NEG_INF,
     MultiPoly,
     Role,
     VarTable,
@@ -38,7 +35,7 @@ from .arith import (
     resultant,
     weighted_degree,
 )
-from .errors import DomainError, InputError, StructuralError, UnsupportedOracleError
+from .errors import DomainError, InputError, StructuralError
 
 
 @dataclass(frozen=True)
@@ -163,11 +160,6 @@ class RadicalTower:
         return f"RadicalTower({inner or self.table.names[0]})"
 
 
-def validate_tower(table: VarTable, levels: Sequence[RadicalLevel]) -> RadicalTower:
-    """Build a tower, checking order, reducedness and exponents."""
-    return RadicalTower(table, levels)
-
-
 # ----------------------------------------------------------------------
 # normal form and normalized remainder
 
@@ -220,34 +212,6 @@ def remainder_trace(f: MultiPoly, tower: RadicalTower) -> list[MultiPoly]:
 def normalized_remainder(f: MultiPoly, tower: RadicalTower) -> MultiPoly:
     """R(f): radicals eliminated, a polynomial in t (and inert extras)."""
     return remainder_trace(f, tower)[-1]
-
-
-def full_conjugate_product(f: MultiPoly, tower: RadicalTower) -> MultiPoly:
-    """Brute-force conjugate product over all sign choices, normalized.
-
-    Only towers with every exponent equal to 2 are supported, where
-    conjugation is just a sign flip per radical.  For unnested towers
-    this equals normalized_remainder; for nested ones it differs, which
-    is exactly what makes it a useful cross-check.
-    """
-    for level in tower.levels:
-        if level.exponent != 2:
-            raise UnsupportedOracleError(
-                f"sign-product oracle needs exponent 2, level {level.name} has {level.exponent}"
-            )
-    tower.check_table(f.table)
-    radical_vars = [f.table.index(level.name) for level in tower.levels]
-    product = MultiPoly.one(f.table)
-    for signs in itertools.product((1, -1), repeat=tower.m):
-        flipped = {}
-        for expo, c in f.coeffs.items():
-            factor = 1
-            for s, var in zip(signs, radical_vars):
-                if s < 0 and expo[var] % 2:
-                    factor = -factor
-            flipped[expo] = c * factor
-        product = product * MultiPoly(f.table, flipped)
-    return normal_form(product, tower)
 
 
 # ----------------------------------------------------------------------
@@ -311,40 +275,3 @@ def is_suspicious(f: MultiPoly, tower: RadicalTower) -> SuspicionReport:
         if expo[var] and tower.level_is_suspicious(i):
             return SuspicionReport(True, "suspicious-radical", i, lead)
     return SuspicionReport(False, None, None, lead)
-
-
-def fast_guilty_single(f: MultiPoly, tower: RadicalTower) -> bool:
-    """Guilt for a height-1 tower without computing R(f).
-
-    Collects the coefficients c_i(t) of f = sum c_i(t) Delta^i whose
-    term c_i(t) Delta^i attains the weighted degree, forms the leading
-    pattern f_l(Delta) from their leading coefficients, and tests
-    whether Res(f_l, Delta^e - lc(g)) vanishes.
-    """
-    if tower.m != 1:
-        raise DomainError("fast guilt test requires a tower of height 1")
-    nf = normal_form(f, tower)
-    if nf.is_zero():
-        raise DomainError("guilt is undefined for the zero polynomial")
-    if not nf.variables() <= {0, 1}:
-        raise DomainError("fast guilt test needs a polynomial in t and the radical only")
-    level = tower.levels[0]
-    e = level.exponent
-    g = level.radicand
-    k = int(g.degree(0))
-    a_k = g.coeff_poly(0, k).const_value()
-    var = nf.table.index(level.name)
-    coeffs = nf.univariate_coeffs(var)
-    degrees = {}
-    for i, c in enumerate(coeffs):
-        if not c.is_zero():
-            degrees[i] = c.degree(0) + Fraction(k, e) * i
-    top = max(degrees.values())
-    lead_pattern = MultiPoly.zero(nf.table)
-    delta = MultiPoly.var(nf.table, level.name)
-    for i, d in degrees.items():
-        if d == top:
-            lc = coeffs[i].coeff_poly(0, int(coeffs[i].degree(0))).const_value()
-            lead_pattern = lead_pattern + lc * delta**i
-    test_poly = delta**e - MultiPoly.const(nf.table, a_k)
-    return resultant(lead_pattern, test_poly, var).is_zero()

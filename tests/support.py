@@ -1,15 +1,21 @@
 """Shared helpers for the test suite.
 
 sympy is used here as an independent desk calculator to cross-check
-exact results; the package itself never imports it.
+exact results; the package itself never imports it.  The reference
+oracles at the end (Sylvester determinant, sign-product conjugation,
+single-level fast guilt, exact evaluation) are second implementations
+that the tests compare the package against.
 """
 
+import itertools
 from fractions import Fraction
 from random import Random
 
 import sympy
 
-from radsurj.arith import MultiPoly, Role, VarTable
+from radsurj.arith import MultiPoly, Role, VarTable, exact_div, resultant
+from radsurj.errors import DomainError, RadsurjError, StructuralError
+from radsurj.tower import RadicalTower, normal_form
 
 T_ONLY = VarTable(("t",), (Role.PARAMETER,))
 TD1 = VarTable(("t", "d1"), (Role.PARAMETER, Role.RADICAL))
@@ -84,7 +90,7 @@ def random_poly_bounded(
 
 def random_tower(rng: Random, m: int, max_e: int = 3, tdeg: int = 4, nested: bool = True):
     """Random valid tower of height m with small radicands."""
-    from radsurj.tower import RadicalLevel, validate_tower
+    from radsurj.tower import RadicalLevel
 
     names = ("t",) + tuple(f"d{i + 1}" for i in range(m))
     roles = (Role.PARAMETER,) + (Role.RADICAL,) * m
@@ -101,7 +107,7 @@ def random_tower(rng: Random, m: int, max_e: int = 3, tdeg: int = 4, nested: boo
                 break
         levels.append(RadicalLevel(names[1 + i], e, g))
         exponents.append(e)
-    return validate_tower(table, levels)
+    return RadicalTower(table, levels)
 
 
 def random_reduced_poly(rng: Random, tower, tdeg: int = 4, max_terms: int = 4) -> MultiPoly:
@@ -111,3 +117,129 @@ def random_reduced_poly(rng: Random, tower, tdeg: int = 4, max_terms: int = 4) -
         f = random_poly_bounded(rng, tower.table, bounds, max_terms=max_terms)
         if not f.is_zero():
             return f
+
+
+# ----------------------------------------------------------------------
+# reference oracles
+
+
+class UnsupportedOracleError(RadsurjError):
+    """A cross-check oracle was asked for a shape it does not cover."""
+
+
+def eval_exact(poly: MultiPoly, values) -> Fraction:
+    """Exact value of poly at a rational point."""
+    if len(values) != poly.table.arity:
+        raise StructuralError("evaluation point has wrong arity")
+    vals = [Fraction(v) for v in values]
+    total = Fraction(0)
+    for expo, c in poly.coeffs.items():
+        term = c
+        for v, k in zip(vals, expo):
+            if k:
+                term *= v**k
+        total += term
+    return total
+
+
+def resultant_det(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
+    """Res_var(a, b) as the Sylvester determinant, by Bareiss elimination.
+
+    Same convention as resultant(), which it cross-checks; the trivial
+    shapes (a zero argument or degree 0 in var) share resultant's
+    closed forms.
+    """
+    if a.degree(var) <= 0 or b.degree(var) <= 0:
+        return resultant(a, b, var)
+    table = a.table
+    da, db = int(a.degree(var)), int(b.degree(var))
+    acoef = [a.coeff_poly(var, k) for k in range(da, -1, -1)]
+    bcoef = [b.coeff_poly(var, k) for k in range(db, -1, -1)]
+    n = da + db
+    zero = MultiPoly.zero(table)
+    mat: list[list[MultiPoly]] = []
+    for i in range(db):
+        mat.append([zero] * i + acoef + [zero] * (db - 1 - i))
+    for i in range(da):
+        mat.append([zero] * i + bcoef + [zero] * (da - 1 - i))
+    sign = 1
+    prev = MultiPoly.one(table)
+    for k in range(n - 1):
+        if mat[k][k].is_zero():
+            pivot_row = next((r for r in range(k + 1, n) if not mat[r][k].is_zero()), None)
+            if pivot_row is None:
+                return zero
+            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = exact_div(mat[k][k] * mat[i][j] - mat[i][k] * mat[k][j], prev)
+            mat[i][k] = zero
+        prev = mat[k][k]
+    det = mat[n - 1][n - 1]
+    return det if sign > 0 else -det
+
+
+def full_conjugate_product(f: MultiPoly, tower: RadicalTower) -> MultiPoly:
+    """Brute-force conjugate product over all sign choices, normalized.
+
+    Only towers with every exponent equal to 2 are supported, where
+    conjugation is just a sign flip per radical.  For unnested towers
+    this equals normalized_remainder; for nested ones it differs, which
+    is exactly what makes it a useful cross-check.
+    """
+    for level in tower.levels:
+        if level.exponent != 2:
+            raise UnsupportedOracleError(
+                f"sign-product oracle needs exponent 2, level {level.name} has {level.exponent}"
+            )
+    tower.check_table(f.table)
+    radical_vars = [f.table.index(level.name) for level in tower.levels]
+    product = MultiPoly.one(f.table)
+    for signs in itertools.product((1, -1), repeat=tower.m):
+        flipped = {}
+        for expo, c in f.coeffs.items():
+            factor = 1
+            for s, var in zip(signs, radical_vars):
+                if s < 0 and expo[var] % 2:
+                    factor = -factor
+            flipped[expo] = c * factor
+        product = product * MultiPoly(f.table, flipped)
+    return normal_form(product, tower)
+
+
+def fast_guilty_single(f: MultiPoly, tower: RadicalTower) -> bool:
+    """Guilt for a height-1 tower without computing R(f).
+
+    Collects the coefficients c_i(t) of f = sum c_i(t) Delta^i whose
+    term c_i(t) Delta^i attains the weighted degree, forms the leading
+    pattern f_l(Delta) from their leading coefficients, and tests
+    whether Res(f_l, Delta^e - lc(g)) vanishes.
+    """
+    if tower.m != 1:
+        raise DomainError("fast guilt test requires a tower of height 1")
+    nf = normal_form(f, tower)
+    if nf.is_zero():
+        raise DomainError("guilt is undefined for the zero polynomial")
+    if not nf.variables() <= {0, 1}:
+        raise DomainError("fast guilt test needs a polynomial in t and the radical only")
+    level = tower.levels[0]
+    e = level.exponent
+    g = level.radicand
+    k = int(g.degree(0))
+    a_k = g.coeff_poly(0, k).const_value()
+    var = nf.table.index(level.name)
+    coeffs = nf.univariate_coeffs(var)
+    degrees = {}
+    for i, c in enumerate(coeffs):
+        if not c.is_zero():
+            degrees[i] = c.degree(0) + Fraction(k, e) * i
+    top = max(degrees.values())
+    lead_pattern = MultiPoly.zero(nf.table)
+    delta = MultiPoly.var(nf.table, level.name)
+    for i, d in degrees.items():
+        if d == top:
+            lc = coeffs[i].coeff_poly(0, int(coeffs[i].degree(0))).const_value()
+            lead_pattern = lead_pattern + lc * delta**i
+    test_poly = delta**e - MultiPoly.const(nf.table, a_k)
+    return resultant(lead_pattern, test_poly, var).is_zero()

@@ -25,16 +25,22 @@ from radsurj.sampler import confirm_candidates, sample_images
 from radsurj.surjcheck import check_surjective, normalize_param
 from radsurj.tower import (
     RadicalLevel,
-    full_conjugate_product,
-    fast_guilty_single,
+    RadicalTower,
     is_guilty,
     is_suspicious,
     normalized_remainder,
     remainder_trace,
-    validate_tower,
 )
 
-from support import T_ONLY, TD1, TD12, random_reduced_poly, random_tower
+from support import (
+    T_ONLY,
+    TD1,
+    TD12,
+    fast_guilty_single,
+    full_conjugate_product,
+    random_reduced_poly,
+    random_tower,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,18 +61,18 @@ def param_of(tower, pairs, names=None):
 
 
 def circle_param():
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
     return param_of(tower, [(t, ONE), (d1, ONE)])
 
 
 def rational_circle_param():
     den = 1 + s**2
-    tower = validate_tower(T_ONLY, [])
+    tower = RadicalTower(T_ONLY, [])
     return param_of(tower, [(2 * s, den), (s**2 - 1, den)])
 
 
 def cotas_param():
-    tower = validate_tower(
+    tower = RadicalTower(
         TD12,
         [
             RadicalLevel("d1", 2, t2**2 - t2),
@@ -80,7 +86,7 @@ def fermat_param(n):
     table = VarTable(("t", "d"), (Role.PARAMETER, Role.RADICAL))
     ft = MultiPoly.var(table, "t")
     fd = MultiPoly.var(table, "d")
-    tower = validate_tower(table, [RadicalLevel("d", n, 1 - ft**n)])
+    tower = RadicalTower(table, [RadicalLevel("d", n, 1 - ft**n)])
     return param_of(tower, [(ft, MultiPoly.one(table)), (fd, MultiPoly.one(table))])
 
 
@@ -114,7 +120,7 @@ def test_criterion_01_circle_certified_and_implicitized(capsys):
 
 
 def test_criterion_02_axis_component_is_guilty(capsys):
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, t**2 - 1)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, t**2 - 1)])
     report = is_guilty(t - d1, tower)
     assert report.expected_degree == 2
     assert report.actual_degree == 0
@@ -125,7 +131,7 @@ def test_criterion_02_axis_component_is_guilty(capsys):
 
 
 def test_criterion_03_shifted_radicand_is_innocent():
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, t - 1)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, t - 1)])
     f = t - d1
     assert normalized_remainder(f, tower) == t**2 - t + 1
     report = is_guilty(f, tower)
@@ -137,7 +143,7 @@ def test_criterion_03_shifted_radicand_is_innocent():
 
 
 def test_criterion_04_nested_remainder_and_sign_product_differ():
-    tower = validate_tower(
+    tower = RadicalTower(
         TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 2, e1 + 1)]
     )
     f = e1 * e2 + t2
@@ -148,7 +154,7 @@ def test_criterion_04_nested_remainder_and_sign_product_differ():
 
 
 def test_criterion_05_two_root_difference_has_constant_lead():
-    tower = validate_tower(
+    tower = RadicalTower(
         TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 2, t2 + 1)]
     )
     param = param_of(tower, [(t2 * e1 - t2 * e2, ONE2)])
@@ -196,7 +202,7 @@ def test_criterion_07_rational_circle_misses_north_pole():
 
 
 def test_criterion_08_denominator_locus_is_finite_not_trivial():
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, t)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, t)])
     param = param_of(tower, [(t * (d1 - 1), t - 1)])
     locus = condition2_locus(param, 1)
     assert locus.classification == "finite"
@@ -205,7 +211,7 @@ def test_criterion_08_denominator_locus_is_finite_not_trivial():
 
 
 def test_criterion_09_suspicion_is_sound_for_guilt():
-    tower = validate_tower(
+    tower = RadicalTower(
         TD12, [RadicalLevel("d1", 2, t2**2 - 1), RadicalLevel("d2", 2, t2 - e1)]
     )
     assert is_suspicious(e1 * e2 + 3, tower).suspicious is True
@@ -247,11 +253,11 @@ def test_criterion_11_fermat_curves_certify_and_sample_clean():
 
 
 def certified_instances():
-    tower3 = validate_tower(TD1, [RadicalLevel("d1", 2, t - 1)])
-    toweri = validate_tower(
+    tower3 = RadicalTower(TD1, [RadicalLevel("d1", 2, t - 1)])
+    toweri = RadicalTower(
         TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 2, e1 + 1)]
     )
-    tower_r = validate_tower(TD1, [RadicalLevel("d1", 2, t)])
+    tower_r = RadicalTower(TD1, [RadicalLevel("d1", 2, t)])
     return [
         circle_param(),
         param_of(tower3, [(t - d1, ONE)]),

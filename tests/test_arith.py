@@ -17,14 +17,22 @@ from radsurj.arith import (
     poly_gcd,
     prem,
     resultant,
-    resultant_det,
     squarefree_part,
     univ_gcd,
     weighted_degree,
 )
 from radsurj.errors import DomainError, StructuralError
 
-from support import TD1, TD12, T_ONLY, random_nonzero_poly, random_poly, sym, to_sympy
+from support import (
+    TD1,
+    TD12,
+    T_ONLY,
+    random_nonzero_poly,
+    random_poly,
+    resultant_det,
+    sym,
+    to_sympy,
+)
 
 t = MultiPoly.var(TD1, "t")
 d1 = MultiPoly.var(TD1, "d1")
@@ -110,7 +118,7 @@ def test_univariate_views_roundtrip():
 
 
 def test_transport_into_extended_table():
-    bigger = TD1.with_var("x1", Role.COORDINATE)
+    bigger = VarTable(TD1.names + ("x1",), TD1.roles + (Role.COORDINATE,))
     f = t**2 - d1
     g = f.transport(bigger)
     assert g.table == bigger

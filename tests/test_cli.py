@@ -176,6 +176,35 @@ def test_unknown_setting_value_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "settings,flags",
+    [
+        ("points = abc;", []),
+        ("points = 0;", []),
+        ("", ["--points", "0"]),
+        ("", ["--points", "-3"]),
+        ("mdoe = suspicious;", []),
+    ],
+    ids=["points-word", "points-zero", "flag-zero", "flag-negative", "unknown-key"],
+)
+def test_bad_settings_exit_two(settings, flags, tmp_path, capsys):
+    src = tmp_path / "bad_settings.rs"
+    src.write_text(f"tower {{ }} param {{ x = t; }} settings {{ {settings} }}")
+    code, doc, err = run(["sample", str(src), "--stable", *flags], capsys)
+    assert code == 2 and doc is None
+    assert err.startswith("error: ")
+
+
+def test_sample_skips_condition2_loci(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample must not compute condition-2 loci")
+
+    monkeypatch.setattr("radsurj.missing.condition2_locus", refuse)
+    code, doc, _ = run(["sample", str(DATA / "cotas.rs"), "--stable"], capsys)
+    assert code == 0
+    validate(doc)
+
+
 # ----------------------------------------------------------------------
 # stability and goldens
 

@@ -13,7 +13,7 @@ from radsurj.missing import (
     missing_candidates,
 )
 from radsurj.surjcheck import normalize_param
-from radsurj.tower import RadicalLevel, RadicalTower, validate_tower
+from radsurj.tower import RadicalLevel, RadicalTower
 
 from support import TD1, TD12, T_ONLY, to_sympy
 
@@ -27,13 +27,13 @@ ONET = MultiPoly.one(T_ONLY)
 
 
 def circle_param():
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
     return normalize_param(tower, [(t, ONE), (d1, ONE)])[0]
 
 
 def axis_param():
     # x = 0, y = t - sqrt(t^2 - 1): covers the vertical axis except the origin
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, t**2 - 1)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, t**2 - 1)])
     return normalize_param(tower, [(MultiPoly.zero(TD1), ONE), (t - d1, ONE)])[0]
 
 
@@ -45,7 +45,7 @@ def rational_circle():
 
 def sharp_bounds_param():
     # (sqrt(t(t-1))/(t-1), sqrt((2t-1)(t-1))/(t-1)): misses four points
-    tower = validate_tower(
+    tower = RadicalTower(
         TD12,
         [
             RadicalLevel("d1", 2, t2 * (t2 - 1)),
@@ -57,7 +57,7 @@ def sharp_bounds_param():
 
 def two_roots_param():
     # x = t(sqrt(t) - sqrt(t+1)): guilty numerator yet surjective
-    tower = validate_tower(TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 2, t2 + 1)])
+    tower = RadicalTower(TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 2, t2 + 1)])
     return normalize_param(tower, [(t2 * (e1 - e2), ONE2)])[0]
 
 
@@ -153,9 +153,9 @@ def test_infinity_bound_values():
     assert infinity_bound(circle_param().tower) == 2
     assert infinity_bound(axis_param().tower) == 2
     assert infinity_bound(sharp_bounds_param().tower) == 4
-    nested = validate_tower(TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 2, e1 + 1)])
+    nested = RadicalTower(TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 2, e1 + 1)])
     assert infinity_bound(nested) == 4
-    cubic = validate_tower(TD1, [RadicalLevel("d1", 2, t**3 - t)])
+    cubic = RadicalTower(TD1, [RadicalLevel("d1", 2, t**3 - t)])
     assert infinity_bound(cubic) == 3
 
 
@@ -165,7 +165,7 @@ def test_infinity_bound_values():
 
 def test_condition2_locus_finite_pinned():
     # numerator t(d1 - 1) and denominator t - 1 share the zero (1, 1)
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, t)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, t)])
     param = normalize_param(tower, [(t * (d1 - 1), t - 1)])[0]
     locus = condition2_locus(param, 1)
     assert locus.classification == "finite"
@@ -179,7 +179,7 @@ def test_condition2_locus_empty_for_constant_denominator():
 
 
 def test_condition2_locus_finite_both_branch_points():
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
     param = normalize_param(tower, [(d1, 1 - t**2)])[0]
     locus = condition2_locus(param, 1)
     assert locus.classification == "finite"
@@ -188,7 +188,7 @@ def test_condition2_locus_finite_both_branch_points():
 def test_condition2_locus_positive_dimensional():
     # reducible castle d1^2 = t^2; numerator and denominator both vanish
     # on the whole component d1 = t
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, t**2)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, t**2)])
     param = normalize_param(tower, [(t - d1, 2 * t - 2 * d1)])[0]
     locus = condition2_locus(param, 1)
     assert locus.classification == "positive-dimensional"

@@ -19,7 +19,7 @@ from radsurj.sampler import (
     write_csv,
 )
 from radsurj.surjcheck import normalize_param
-from radsurj.tower import RadicalLevel, RadicalTower, validate_tower
+from radsurj.tower import RadicalLevel, RadicalTower
 
 from support import TD1, TD12, T_ONLY
 
@@ -31,12 +31,12 @@ tt = MultiPoly.var(T_ONLY, "t")
 
 
 def circle_param():
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
     return normalize_param(tower, [(t, ONE), (d1, ONE)])[0]
 
 
 def axis_param():
-    tower = validate_tower(TD1, [RadicalLevel("d1", 2, t**2 - 1)])
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, t**2 - 1)])
     return normalize_param(tower, [(MultiPoly.zero(TD1), ONE), (t - d1, ONE)])[0]
 
 
@@ -46,7 +46,7 @@ def rational_circle():
 
 
 def sharp_bounds_param():
-    tower = validate_tower(
+    tower = RadicalTower(
         TD12,
         [
             RadicalLevel("d1", 2, t2 * (t2 - 1)),
@@ -127,7 +127,7 @@ def test_enumerate_branches_circle():
 
 
 def test_enumerate_branches_nested_count_and_values():
-    tower = validate_tower(TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 2, e1 + 1)])
+    tower = RadicalTower(TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 2, e1 + 1)])
     branches = enumerate_branches(tower, 4 + 0j)
     assert len(branches) == 4
     firsts = sorted(b[0].real for b in branches)

@@ -12,7 +12,7 @@ from radsurj.surjcheck import (
     hypothesis2,
     normalize_param,
 )
-from radsurj.tower import RadicalLevel, validate_tower
+from radsurj.tower import RadicalLevel, RadicalTower
 
 from support import TD1, TD12, random_reduced_poly, random_tower
 
@@ -23,15 +23,15 @@ t3, e1, e2 = (MultiPoly.var(TD12, n) for n in ("t", "d1", "d2"))
 
 
 def tower_circle():
-    return validate_tower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
+    return RadicalTower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
 
 
 def tower_hyperbola():
-    return validate_tower(TD1, [RadicalLevel("d1", 2, t**2 - 1)])
+    return RadicalTower(TD1, [RadicalLevel("d1", 2, t**2 - 1)])
 
 
 def tower_sqrt_t():
-    return validate_tower(TD1, [RadicalLevel("d1", 2, t)])
+    return RadicalTower(TD1, [RadicalLevel("d1", 2, t)])
 
 
 def param_of(tower, pairs, names=None):
@@ -279,14 +279,14 @@ def test_suspicious_mode_path_and_general_route():
 
 
 def test_fermat_style_cube_root_param_is_certified():
-    tw = validate_tower(TD1, [RadicalLevel("d1", 3, t**3 + 1)])
+    tw = RadicalTower(TD1, [RadicalLevel("d1", 3, t**3 + 1)])
     report = check_surjective(param_of(tw, [(t, ONE), (d1, ONE)]))
     assert report.certified
     assert report.certificate_path == "polynomial-components"
 
 
 def test_nested_tower_param_is_certified():
-    tw = validate_tower(TD12, [RadicalLevel("d1", 2, t3), RadicalLevel("d2", 2, e1 + 1)])
+    tw = RadicalTower(TD12, [RadicalLevel("d1", 2, t3), RadicalLevel("d2", 2, e1 + 1)])
     one = MultiPoly.one(TD12)
     report = check_surjective(param_of(tw, [(t3, one), (e2, one)]))
     assert report.certified

@@ -4,22 +4,24 @@ from random import Random
 import pytest
 
 from radsurj.arith import MultiPoly, Role, VarTable, weighted_degree
-from radsurj.errors import DomainError, InputError, UnsupportedOracleError
+from radsurj.errors import DomainError, InputError
 from radsurj.tower import (
     RadicalLevel,
-    full_conjugate_product,
-    fast_guilty_single,
+    RadicalTower,
     is_guilty,
     is_suspicious,
     normal_form,
     normalized_remainder,
     remainder_trace,
-    validate_tower,
 )
 
 from support import (
     TD1,
     TD12,
+    UnsupportedOracleError,
+    eval_exact,
+    fast_guilty_single,
+    full_conjugate_product,
     random_poly_bounded,
     random_reduced_poly,
     random_tower,
@@ -31,31 +33,31 @@ t3, e1, e2 = (MultiPoly.var(TD12, n) for n in ("t", "d1", "d2"))
 
 
 def tower_circle():
-    return validate_tower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
+    return RadicalTower(TD1, [RadicalLevel("d1", 2, 1 - t**2)])
 
 
 def tower_hyperbola():
-    return validate_tower(TD1, [RadicalLevel("d1", 2, t**2 - 1)])
+    return RadicalTower(TD1, [RadicalLevel("d1", 2, t**2 - 1)])
 
 
 def tower_shifted():
-    return validate_tower(TD1, [RadicalLevel("d1", 2, t - 1)])
+    return RadicalTower(TD1, [RadicalLevel("d1", 2, t - 1)])
 
 
 def tower_nested():
-    return validate_tower(
+    return RadicalTower(
         TD12, [RadicalLevel("d1", 2, t3), RadicalLevel("d2", 2, e1 + 1)]
     )
 
 
 def tower_two_roots():
-    return validate_tower(
+    return RadicalTower(
         TD12, [RadicalLevel("d1", 2, t3), RadicalLevel("d2", 2, t3 + 1)]
     )
 
 
 def tower_suspicious():
-    return validate_tower(
+    return RadicalTower(
         TD12, [RadicalLevel("d1", 2, t3**2 - 1), RadicalLevel("d2", 2, t3 - e1)]
     )
 
@@ -84,19 +86,19 @@ def test_unnested_flag():
 
 def test_validate_rejects_small_exponent():
     with pytest.raises(InputError):
-        validate_tower(TD1, [RadicalLevel("d1", 1, t)])
+        RadicalTower(TD1, [RadicalLevel("d1", 1, t)])
 
 
 def test_validate_rejects_constant_radicand():
     with pytest.raises(InputError):
-        validate_tower(TD1, [RadicalLevel("d1", 2, MultiPoly.const(TD1, 5))])
+        RadicalTower(TD1, [RadicalLevel("d1", 2, MultiPoly.const(TD1, 5))])
     with pytest.raises(InputError):
-        validate_tower(TD1, [RadicalLevel("d1", 2, MultiPoly.zero(TD1))])
+        RadicalTower(TD1, [RadicalLevel("d1", 2, MultiPoly.zero(TD1))])
 
 
 def test_validate_rejects_later_radical():
     with pytest.raises(InputError):
-        validate_tower(
+        RadicalTower(
             TD12, [RadicalLevel("d1", 2, e2 + t3), RadicalLevel("d2", 2, t3)]
         )
 
@@ -104,14 +106,14 @@ def test_validate_rejects_later_radical():
 def test_validate_rejects_unreduced_radicand():
     # d2's radicand has degree 2 in d1, but e_1 = 2
     with pytest.raises(InputError):
-        validate_tower(
+        RadicalTower(
             TD12, [RadicalLevel("d1", 2, t3), RadicalLevel("d2", 2, e1**2 + 1)]
         )
 
 
 def test_validate_rejects_own_radical():
     with pytest.raises(InputError):
-        validate_tower(TD1, [RadicalLevel("d1", 2, d1 + t)])
+        RadicalTower(TD1, [RadicalLevel("d1", 2, d1 + t)])
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +223,7 @@ def test_sign_product_matches_remainder_unnested():
 
 
 def test_sign_product_rejects_higher_exponents():
-    tw = validate_tower(TD1, [RadicalLevel("d1", 3, t)])
+    tw = RadicalTower(TD1, [RadicalLevel("d1", 3, t)])
     with pytest.raises(UnsupportedOracleError):
         full_conjugate_product(d1, tw)
 
@@ -337,17 +339,17 @@ def test_common_zero_of_tower_and_poly_kills_remainder():
             bounds = [2] + [lv.exponent - 1 for lv in levels] + [0] * (m - i)
             while True:
                 h = random_poly_bounded(rng, table, bounds, only_vars=set(range(1 + i)))
-                offset = delta0**e - h.eval_exact(point + [Fraction(0)] * (m - i))
+                offset = delta0**e - eval_exact(h, point + [Fraction(0)] * (m - i))
                 g = h + MultiPoly.const(table, offset)
                 if not g.is_zero() and not g.is_const():
                     break
             levels.append(RadicalLevel(names[1 + i], e, g))
             point.append(delta0)
-        tw = validate_tower(table, levels)
+        tw = RadicalTower(table, levels)
         # f vanishing at the common point by construction
         f = (tvar - t0) * random_poly_bounded(rng, table, [2] * (1 + m))
         for i in range(m):
             dvar = MultiPoly.var(table, names[1 + i])
             f = f + (dvar - point[1 + i]) * random_poly_bounded(rng, table, [2] * (1 + m))
         r = normalized_remainder(f, tw)
-        assert r.eval_exact([t0] + [Fraction(0)] * m) == 0
+        assert eval_exact(r, [t0] + [Fraction(0)] * m) == 0
