@@ -81,7 +81,9 @@ def _as_fraction(c) -> Fraction:
 class MultiPoly:
     """Immutable sparse polynomial with Fraction coefficients."""
 
-    __slots__ = ("table", "coeffs", "_hash")
+    # _cterms is filled by complex_terms on first use and never set by a
+    # constructor, so building polynomials in exact code costs nothing.
+    __slots__ = ("table", "coeffs", "_hash", "_cterms")
 
     def __init__(self, table: VarTable, coeffs: Mapping[Exponent, Fraction] | Iterable[tuple[Exponent, Fraction]]):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -289,15 +291,28 @@ class MultiPoly:
             out[tuple(new_expo)] = out.get(tuple(new_expo), Fraction(0)) + c
         return MultiPoly(new_table, out)
 
+    def complex_terms(self) -> tuple[tuple[complex, tuple[tuple[int, int], ...]], ...]:
+        """(complex(c), ((var, k), ...)) per term, nonzero exponents only.
+
+        Built on first call and kept: the polynomial is immutable, so each
+        coefficient is converted once however often it is evaluated.
+        """
+        terms = getattr(self, "_cterms", None)
+        if terms is None:
+            terms = self._cterms = tuple(
+                (complex(c), tuple((i, k) for i, k in enumerate(expo) if k))
+                for expo, c in self.coeffs.items()
+            )
+        return terms
+
     def eval_complex(self, values: Sequence[complex]) -> complex:
         if len(values) != self.table.arity:
             raise StructuralError("evaluation point has wrong arity")
         total = 0j
-        for expo, c in self.coeffs.items():
-            term = complex(c)
-            for v, k in zip(values, expo):
-                if k:
-                    term *= v ** k
+        for c, mono in self.complex_terms():
+            term = c
+            for i, k in mono:
+                term *= values[i] ** k
             total += term
         return total
 

@@ -9,6 +9,7 @@ budget or a numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -115,8 +116,14 @@ def _settings(args: argparse.Namespace, settings: dict[str, str]) -> tuple[str, 
     """Mode, ideal strategy and points for any command.
 
     Flags win over the file's settings block, which wins over defaults.
-    The whole block is checked, whichever command reads it.
+    The whole block is checked, whichever command reads it, and so are
+    the numeric flags.
     """
+    if args.budget < 0:
+        raise InputError(f"budget must be >= 0, got {args.budget}")
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and >= 0, got {tol}")
     for key in settings:
         if key not in ("mode", "ideal", "points"):
             raise InputError(f"settings: unknown key {key!r}")

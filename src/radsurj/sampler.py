@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError, NumericError
+from .arith import MultiPoly
+from .errors import InputError, NumericError, StructuralError
 from .surjcheck import RadicalParametrization
 from .tower import RadicalTower
 
@@ -100,6 +101,8 @@ def enumerate_branches(
     partial: list[tuple[complex, ...]] = [()]
     for i, level in enumerate(tower.levels):
         e = level.exponent
+        unit = cmath.exp(2j * cmath.pi / e)
+        rotations = [unit**j for j in range(e)]
         grown: list[tuple[complex, ...]] = []
         for deltas in partial:
             point = [t0, *deltas] + [0j] * (tower.m - i)
@@ -108,8 +111,7 @@ def enumerate_branches(
                 grown.append(deltas + (0j,))
                 continue
             principal = cmath.exp(cmath.log(val) / e)
-            unit = cmath.exp(2j * cmath.pi / e)
-            grown.extend(deltas + (principal * unit**j,) for j in range(e))
+            grown.extend(deltas + (principal * w,) for w in rotations)
         partial = grown
     if branch_tol > 0:
         for deltas in partial:
@@ -152,15 +154,20 @@ def default_samples(points: int = 200) -> list[complex]:
     return out
 
 
-def scaled_residual(g, point: Sequence[complex]) -> float:
-    """|g(point)| divided by the largest term magnitude (floor 1)."""
+def scaled_residual(g: MultiPoly, point: Sequence[complex]) -> float:
+    """|g(point)| divided by the largest term magnitude (floor 1).
+
+    One pass over g's cached complex terms; the total is bit-identical
+    to g.eval_complex(point).
+    """
+    if len(point) != g.table.arity:
+        raise StructuralError("evaluation point has wrong arity")
     total = 0j
     scale = 1.0
-    for expo, c in g.coeffs.items():
-        term = complex(c)
-        for v, k in zip(point, expo):
-            if k:
-                term *= v**k
+    for c, mono in g.complex_terms():
+        term = c
+        for i, k in mono:
+            term *= point[i] ** k
         total += term
         scale = max(scale, abs(term))
     return abs(total) / scale

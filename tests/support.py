@@ -3,8 +3,8 @@
 sympy is used here as an independent desk calculator to cross-check
 exact results; the package itself never imports it.  The reference
 oracles at the end (Sylvester determinant, sign-product conjugation,
-single-level fast guilt, exact evaluation) are second implementations
-that the tests compare the package against.
+single-level fast guilt, exact and uncached complex evaluation) are
+second implementations that the tests compare the package against.
 """
 
 import itertools
@@ -140,6 +140,68 @@ def eval_exact(poly: MultiPoly, values) -> Fraction:
                 term *= v**k
         total += term
     return total
+
+
+def _complex_term_values(poly: MultiPoly, values) -> list[complex]:
+    if len(values) != poly.table.arity:
+        raise StructuralError("evaluation point has wrong arity")
+    out = []
+    for expo, c in poly.coeffs.items():
+        term = complex(c)
+        for v, k in zip(values, expo):
+            if k:
+                term *= v**k
+        out.append(term)
+    return out
+
+
+def eval_complex_ref(poly: MultiPoly, values) -> complex:
+    """poly at a complex point, converting every coefficient afresh.
+
+    The loop MultiPoly.eval_complex ran before it cached its complex
+    terms; same conversions and operation order, so results agree bit
+    for bit.
+    """
+    total = 0j
+    for term in _complex_term_values(poly, values):
+        total += term
+    return total
+
+
+def scaled_residual_ref(g: MultiPoly, point) -> float:
+    """Uncached sampler.scaled_residual: |g(point)| over the largest term (floor 1)."""
+    total = 0j
+    scale = 1.0
+    for term in _complex_term_values(g, point):
+        total += term
+        scale = max(scale, abs(term))
+    return abs(total) / scale
+
+
+def complex_eval_corpus(rng: Random) -> list[tuple[MultiPoly, list[tuple[complex, ...]]]]:
+    """Polynomials with complex points to evaluate them at.
+
+    Zero and constant polynomials, rational multiples, products and sums
+    built by the ring operations, and polynomials transported into a
+    larger table whose variable order differs.
+    """
+    wide = VarTable(
+        ("x1", "d2", "t", "d1"),
+        (Role.COORDINATE, Role.RADICAL, Role.PARAMETER, Role.RADICAL),
+    )
+    polys = [MultiPoly.zero(TD12), MultiPoly.const(TD12, Fraction(-7, 3)), MultiPoly.zero(wide)]
+    for _ in range(30):
+        f = random_poly(rng, TD12, coeff_bound=9) * Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        g = random_poly(rng, TD12, max_exp=4, max_terms=6)
+        polys += [f, f * g, f * g + g, (f * g).transport(wide)]
+
+    def point(n: int) -> tuple[complex, ...]:
+        return tuple(
+            0j if rng.random() < 0.1 else complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            for _ in range(n)
+        )
+
+    return [(p, [point(p.table.arity) for _ in range(3)]) for p in polys]
 
 
 def resultant_det(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:

@@ -11,6 +11,8 @@ from functools import cache
 from pathlib import Path
 from random import Random
 
+import pytest
+
 from radsurj import cli
 from radsurj.arith import MultiPoly, Role, VarTable, weighted_degree
 from radsurj.ideal import ideal_is_trivial
@@ -210,6 +212,7 @@ def test_criterion_08_denominator_locus_is_finite_not_trivial():
     assert ideal_is_trivial(gens) is False
 
 
+@pytest.mark.slow
 def test_criterion_09_suspicion_is_sound_for_guilt():
     tower = RadicalTower(
         TD12, [RadicalLevel("d1", 2, t2**2 - 1), RadicalLevel("d2", 2, t2 - e1)]
@@ -231,6 +234,7 @@ def test_criterion_09_suspicion_is_sound_for_guilt():
         assert fast_guilty_single(f, tw) == is_guilty(f, tw).guilty
 
 
+@pytest.mark.slow  # shares guilt_corpus() with criterion 09, which builds it once
 def test_criterion_10_degree_of_remainder_is_bounded():
     for tower, f, _, guilt in guilt_corpus():
         assert guilt.actual_degree <= guilt.expected_degree

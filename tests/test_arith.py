@@ -27,6 +27,8 @@ from support import (
     TD1,
     TD12,
     T_ONLY,
+    complex_eval_corpus,
+    eval_complex_ref,
     random_nonzero_poly,
     random_poly,
     resultant_det,
@@ -129,6 +131,18 @@ def test_transport_into_extended_table():
 def test_eval_complex():
     f = t**2 + d1
     assert f.eval_complex((2j, 1.0)) == -3.0
+
+
+def test_eval_complex_matches_uncached_reference():
+    # repr tells -0.0 from 0.0, so this is a bit-for-bit comparison
+    for p, points in complex_eval_corpus(Random(20261018)):
+        for x in points:
+            want = repr(eval_complex_ref(p, x))
+            assert repr(p.eval_complex(x)) == want
+            assert repr(p.eval_complex(x)) == want  # cached terms
+        for wrong in (points[0][:-1], points[0] + (1j,)):
+            with pytest.raises(StructuralError):
+                p.eval_complex(wrong)
 
 
 # ----------------------------------------------------------------------

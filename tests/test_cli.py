@@ -195,6 +195,24 @@ def test_bad_settings_exit_two(settings, flags, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["sample", "--tol", "nan"],
+        ["sample", "--tol", "inf"],
+        ["sample", "--tol=-1e-9"],
+        ["missing", "--budget=-5"],
+        ["sample", "--budget=-1"],
+    ],
+    ids=["tol-nan", "tol-inf", "tol-negative", "missing-budget-negative", "sample-budget-negative"],
+)
+def test_bad_numeric_flags_exit_two(flags, capsys):
+    command, *rest = flags
+    code, doc, err = run([command, str(DATA / "circle.rs"), "--stable", *rest], capsys)
+    assert code == 2 and doc is None
+    assert err.startswith("error: ")
+
+
 def test_sample_skips_condition2_loci(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("sample must not compute condition-2 loci")

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from radsurj.arith import MultiPoly
-from radsurj.errors import InputError, NumericError
+from radsurj.errors import InputError, NumericError, StructuralError
 from radsurj.missing import implicitize, missing_candidates
 from radsurj.sampler import (
     CandidateVerdict,
@@ -21,7 +21,7 @@ from radsurj.sampler import (
 from radsurj.surjcheck import normalize_param
 from radsurj.tower import RadicalLevel, RadicalTower
 
-from support import TD1, TD12, T_ONLY
+from support import TD1, TD12, T_ONLY, complex_eval_corpus, scaled_residual_ref
 
 t = MultiPoly.var(TD1, "t")
 d1 = MultiPoly.var(TD1, "d1")
@@ -271,6 +271,17 @@ def test_write_csv_columns_and_rows(tmp_path):
     ]
     assert len(rows) - 1 == len(report.accepted)
     assert all(len(r) == 8 for r in rows[1:])
+
+
+def test_scaled_residual_matches_uncached_reference():
+    for g, points in complex_eval_corpus(Random(20261019)):
+        for x in points:
+            want = repr(scaled_residual_ref(g, x))
+            assert repr(scaled_residual(g, x)) == want
+            assert repr(scaled_residual(g, x)) == want  # cached terms
+        for wrong in (points[0][:-1], points[0] + (1j,)):
+            with pytest.raises(StructuralError):
+                scaled_residual(g, wrong)
 
 
 def test_scaled_residual_is_relative():
