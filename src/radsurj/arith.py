@@ -445,7 +445,7 @@ def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 # ----------------------------------------------------------------------
-# pseudo-division and resultants
+# pseudo-division
 
 
 def prem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
@@ -473,62 +473,6 @@ def prem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     if steps:
         r = r * lcb ** steps
     return r
-
-
-def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Res_var(a, b) by the subresultant remainder sequence.
-
-    Sign convention: Res(a, b) = lc(a)^deg(b) * prod of b over the roots
-    of a, which is the determinant of the Sylvester matrix with deg(b)
-    rows of a-coefficients on top.
-    """
-    a._check(b)
-    if a.is_zero() or b.is_zero():
-        return MultiPoly.zero(a.table)
-    da, db = a.degree(var), b.degree(var)
-    if da <= 0 and db <= 0:
-        raise DomainError("resultant variable absent from both arguments")
-    if db == 0:
-        return b ** int(da)
-    if da == 0:
-        return a ** int(db)
-    table = a.table
-    da, db = int(da), int(db)
-    sign = 1
-    if da < db:
-        a, b = b, a
-        da, db = db, da
-        if (da * db) % 2:
-            sign = -sign
-    one = MultiPoly.one(table)
-    g = one
-    h = one
-    while True:
-        da, db = int(a.degree(var)), int(b.degree(var))
-        delta = da - db
-        if (da % 2) and (db % 2):
-            sign = -sign
-        r = prem(a, b, var)
-        a = b
-        denom = g * h ** delta
-        b = exact_div(r, denom) if not r.is_zero() else r
-        if b.is_zero():
-            return MultiPoly.zero(table)
-        g = a.coeff_poly(var, int(a.degree(var)))
-        if delta == 0:
-            pass
-        elif delta == 1:
-            h = g
-        else:
-            h = exact_div(g ** delta, h ** (delta - 1))
-        if b.degree(var) == 0:
-            break
-    dda = int(a.degree(var))
-    if dda == 1:
-        res = b
-    else:
-        res = exact_div(b ** dda, h ** (dda - 1))
-    return res if sign > 0 else -res
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 One JSON document per invocation on standard output, diagnostics on
 standard error.  Exit codes: 0 for success or a certified verdict, 3
 for an inconclusive check, 2 for bad input, 4 for an exhausted work
-budget or a numeric failure.
+budget, a numeric failure or any other package error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .arith import weighted_degree
-from .errors import InputError, NumericError, ResourceError
+from .errors import InputError, RadsurjError
 from .ideal import DEFAULT_STEP_BUDGET
 from .missing import filtered_candidates, implicitize, missing_candidates
 from .parser import parse_poly, parse_source
@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ResourceError, NumericError) as exc:
+    except RadsurjError as exc:  # budget, numeric, domain or structural
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised on purpose derives from RadsurjError so callers can
-catch one base class.  The CLI maps subclasses to exit codes: input and
-parse problems exit 2, exhausted budgets exit 4.
+catch one base class.  The CLI maps them to exit codes: input and parse
+problems exit 2; exhausted budgets, numeric failures and every other
+package error exit 4.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ class StructuralError(RadsurjError):
 class DomainError(RadsurjError):
     """Operation applied outside its mathematical domain.
 
-    Examples: resultant in a variable absent from both arguments,
-    a zero polynomial where a nonzero one is required, guilt of a
-    polynomial that vanishes modulo the tower.
+    Examples: a zero polynomial where a nonzero one is required, guilt
+    of a polynomial that vanishes modulo the tower.
     """
 
 

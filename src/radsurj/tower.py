@@ -9,8 +9,10 @@ g_i may mention t and the earlier radicals only.  This module provides
     Delta_i^e_i and g_i weigh the same),
   * the normal form N(f), reducing every radical exponent below e_i,
   * the normalized remainder R(f), the univariate polynomial obtained
-    by eliminating the radicals with successive resultants, together
-    with its full elimination trace,
+    by eliminating the radicals one level at a time: each step is a
+    tower norm (the resultant against the monic tower polynomial),
+    reduced modulo the tower, and the steps make up the elimination
+    trace,
   * the guilt and suspicion predicates on which the surjectivity
     certificates rest.
 
@@ -32,7 +34,6 @@ from .arith import (
     VarTable,
     WeightVector,
     leading_form,
-    resultant,
     weighted_degree,
 )
 from .errors import DomainError, InputError, StructuralError
@@ -192,19 +193,58 @@ def normal_form(f: MultiPoly, tower: RadicalTower) -> MultiPoly:
     return f
 
 
+def tower_norm(f: MultiPoly, level: RadicalLevel) -> MultiPoly:
+    """Res_Delta(Delta^e - g, f) for f of degree below e in Delta.
+
+    The tower polynomial is monic in Delta, so the resultant is the norm
+    of f, the product of f(alpha) over the roots alpha: the determinant
+    of multiplication by f = sum c_k Delta^k on the basis 1, Delta, ...,
+    Delta^(e-1).  Its entry in row r, column j is c_(r-j) for r >= j and
+    g*c_(r-j+e) for r < j.  The determinant is expanded column by column
+    over row subsets, minors[rows] being the minor on those rows and the
+    first |rows| columns: e*2^(e-1) products and no division.
+    """
+    var = f.table.index(level.name)
+    e = level.exponent
+    c = f.univariate_coeffs(var)
+    if len(c) > e:
+        raise DomainError(f"norm needs a polynomial reduced below {level.name}^{e}")
+    g = level.radicand if f.table == level.radicand.table else level.radicand.transport(f.table)
+    zero = MultiPoly.zero(f.table)
+    c += [zero] * (e - len(c))
+    gc = [zero] + [zero if ck.is_zero() else g * ck for ck in c[1:]]
+    minors = {0: MultiPoly.one(f.table)}
+    for j in range(e):
+        wider: dict[int, MultiPoly] = {}
+        for rows, minor in minors.items():
+            for r in range(e):
+                bit = 1 << r
+                entry = c[r - j] if r >= j else gc[r - j + e]
+                if rows & bit or entry.is_zero():
+                    continue
+                term = entry * minor
+                if (rows >> r).bit_count() % 2:  # rows below r in the minor
+                    term = -term
+                key = rows | bit
+                wider[key] = wider[key] + term if key in wider else term
+        minors = {rows: m for rows, m in wider.items() if not m.is_zero()}
+    return minors.get((1 << e) - 1, zero)
+
+
 def remainder_trace(f: MultiPoly, tower: RadicalTower) -> list[MultiPoly]:
     """The elimination sequence f_m = N(f), ..., f_0 = R(f).
 
-    Each step takes the resultant of the tower polynomial (first
-    argument) with the running value, eliminating the highest radical
-    still present.  Intermediate values are not re-normalized.
+    Each step takes the tower norm of the running value at the highest
+    radical still present, which is its resultant with that level's
+    tower polynomial, and reduces it modulo the tower.  A norm depends
+    only on its argument modulo the monic tower polynomial, so reducing
+    between levels leaves R(f) unchanged and keeps every entry of the
+    trace in normal form.
     """
     f_k = normal_form(f, tower)
     trace = [f_k]
     for i in reversed(range(tower.m)):
-        var = f_k.table.index(tower.levels[i].name)
-        e_poly = tower.level_poly(i, f_k.table)
-        f_k = resultant(e_poly, f_k, var)
+        f_k = normal_form(tower_norm(f_k, tower.levels[i]), tower)
         trace.append(f_k)
     return trace
 
@@ -220,7 +260,10 @@ def normalized_remainder(f: MultiPoly, tower: RadicalTower) -> MultiPoly:
 
 @dataclass(frozen=True)
 class GuiltReport:
-    """Outcome of the degree-drop test for one polynomial."""
+    """Outcome of the degree-drop test for one polynomial.
+
+    trace is remainder_trace(f), every entry reduced modulo the tower.
+    """
 
     expected_degree: Fraction
     actual_degree: Fraction | float

@@ -2,7 +2,8 @@
 
 sympy is used here as an independent desk calculator to cross-check
 exact results; the package itself never imports it.  The reference
-oracles at the end (Sylvester determinant, sign-product conjugation,
+oracles at the end (subresultant resultant and the resultant chain
+built from it, Sylvester determinant, sign-product conjugation,
 single-level fast guilt, exact and uncached complex evaluation) are
 second implementations that the tests compare the package against.
 """
@@ -13,7 +14,7 @@ from random import Random
 
 import sympy
 
-from radsurj.arith import MultiPoly, Role, VarTable, exact_div, resultant
+from radsurj.arith import MultiPoly, Role, VarTable, exact_div, prem
 from radsurj.errors import DomainError, RadsurjError, StructuralError
 from radsurj.tower import RadicalTower, normal_form
 
@@ -202,6 +203,78 @@ def complex_eval_corpus(rng: Random) -> list[tuple[MultiPoly, list[tuple[complex
         )
 
     return [(p, [point(p.table.arity) for _ in range(3)]) for p in polys]
+
+
+def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
+    """Res_var(a, b) by the subresultant remainder sequence.
+
+    Sign convention: Res(a, b) = lc(a)^deg(b) * prod of b over the roots
+    of a, which is the determinant of the Sylvester matrix with deg(b)
+    rows of a-coefficients on top.
+    """
+    a._check(b)
+    if a.is_zero() or b.is_zero():
+        return MultiPoly.zero(a.table)
+    da, db = a.degree(var), b.degree(var)
+    if da <= 0 and db <= 0:
+        raise DomainError("resultant variable absent from both arguments")
+    if db == 0:
+        return b ** int(da)
+    if da == 0:
+        return a ** int(db)
+    table = a.table
+    da, db = int(da), int(db)
+    sign = 1
+    if da < db:
+        a, b = b, a
+        da, db = db, da
+        if (da * db) % 2:
+            sign = -sign
+    one = MultiPoly.one(table)
+    g = one
+    h = one
+    while True:
+        da, db = int(a.degree(var)), int(b.degree(var))
+        delta = da - db
+        if (da % 2) and (db % 2):
+            sign = -sign
+        r = prem(a, b, var)
+        a = b
+        denom = g * h ** delta
+        b = exact_div(r, denom) if not r.is_zero() else r
+        if b.is_zero():
+            return MultiPoly.zero(table)
+        g = a.coeff_poly(var, int(a.degree(var)))
+        if delta == 0:
+            pass
+        elif delta == 1:
+            h = g
+        else:
+            h = exact_div(g ** delta, h ** (delta - 1))
+        if b.degree(var) == 0:
+            break
+    dda = int(a.degree(var))
+    if dda == 1:
+        res = b
+    else:
+        res = exact_div(b ** dda, h ** (dda - 1))
+    return res if sign > 0 else -res
+
+
+def resultant_chain(f: MultiPoly, tower: RadicalTower) -> list[MultiPoly]:
+    """The elimination sequence as resultants, without reduction between levels.
+
+    Each step is the resultant of a tower polynomial with the running
+    value, highest radical first; the last entry is R(f), the value
+    remainder_trace reaches through reduced tower norms.
+    """
+    f_k = normal_form(f, tower)
+    trace = [f_k]
+    for i in reversed(range(tower.m)):
+        var = f_k.table.index(tower.levels[i].name)
+        f_k = resultant(tower.level_poly(i, f_k.table), f_k, var)
+        trace.append(f_k)
+    return trace
 
 
 def resultant_det(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:

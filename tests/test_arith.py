@@ -16,7 +16,6 @@ from radsurj.arith import (
     leading_form,
     poly_gcd,
     prem,
-    resultant,
     squarefree_part,
     univ_gcd,
     weighted_degree,
@@ -31,6 +30,7 @@ from support import (
     eval_complex_ref,
     random_nonzero_poly,
     random_poly,
+    resultant,
     resultant_det,
     sym,
     to_sympy,

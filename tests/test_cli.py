@@ -9,6 +9,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 from radsurj import cli
+from radsurj.errors import DomainError, StructuralError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,6 +79,17 @@ def test_semantic_error_exits_two(tmp_path, capsys):
     bad.write_text("tower { d^2 = t; } param { x = t / 0; }")
     code, doc, err = run(["check", str(bad)], capsys)
     assert code == 2 and doc is None
+
+
+@pytest.mark.parametrize("error", [DomainError, StructuralError])
+def test_other_package_errors_exit_four(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error("raised inside the check")
+
+    monkeypatch.setattr(cli, "check_surjective", fail)
+    code, doc, err = run(["check", str(DATA / "circle.rs"), "--stable"], capsys)
+    assert code == 4 and doc is None
+    assert err == "error: raised inside the check\n"
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,12 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+import sympy
 
 from radsurj.arith import MultiPoly, Role, VarTable, weighted_degree
 from radsurj.errors import DomainError, InputError
+from radsurj.missing import component_curve_poly
+from radsurj.surjcheck import normalize_param
 from radsurj.tower import (
     RadicalLevel,
     RadicalTower,
@@ -13,6 +16,7 @@ from radsurj.tower import (
     normal_form,
     normalized_remainder,
     remainder_trace,
+    tower_norm,
 )
 
 from support import (
@@ -25,6 +29,9 @@ from support import (
     random_poly_bounded,
     random_reduced_poly,
     random_tower,
+    resultant_chain,
+    sym,
+    to_sympy,
 )
 
 t = MultiPoly.var(TD1, "t")
@@ -199,6 +206,86 @@ def test_remainder_is_multiplicative():
         lhs = normalized_remainder(f * g, tw)
         rhs = normalized_remainder(f, tw) * normalized_remainder(g, tw)
         assert lhs == rhs
+
+
+# ----------------------------------------------------------------------
+# tower norms against the resultant chain
+
+
+def _with_coordinate(tower):
+    """The tower's table plus an inert coordinate x, as component_curve_poly builds it."""
+    return VarTable(tower.table.names + ("x",), tower.table.roles + (Role.COORDINATE,))
+
+
+def _norm_cases(rng, count):
+    """(f, tower) pairs: reduced polynomials, polynomials free of the top
+    radical, and x*q - p over a table with an inert coordinate x.
+
+    Exponent products stay at most 16, and at most 8 with the coordinate,
+    so the resultant oracle stays fast.
+    """
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 3
+        tw = random_tower(rng, rng.randint(1, 3), max_e=4, tdeg=2)
+        if tw.exponent_product > (8 if kind == 2 else 16):
+            continue
+        if kind == 0:
+            f = random_reduced_poly(rng, tw, tdeg=3)
+        elif kind == 1:
+            bounds = [3] + [level.exponent - 1 for level in tw.levels[:-1]] + [0]
+            f = random_poly_bounded(rng, tw.table, bounds)
+            if f.is_zero():
+                continue
+        else:
+            table = _with_coordinate(tw)
+            x = MultiPoly.var(table, "x")
+            p = random_reduced_poly(rng, tw, tdeg=2, max_terms=3).transport(table)
+            q = random_reduced_poly(rng, tw, tdeg=2, max_terms=2).transport(table)
+            f = x * q - p
+        cases.append((f, tw))
+    return cases
+
+
+def test_remainder_trace_matches_resultant_chain():
+    for f, tw in _norm_cases(Random(41), 300):
+        trace = remainder_trace(f, tw)
+        assert len(trace) == tw.m + 1
+        assert trace[-1] == resultant_chain(f, tw)[-1]
+        # every entry is reduced modulo the tower
+        for f_k in trace:
+            for level in tw.levels:
+                assert f_k.degree(f_k.table.index(level.name)) < level.exponent
+
+
+def test_tower_norm_matches_sympy_resultant():
+    rng = Random(42)
+    checked = 0
+    for f, tw in _norm_cases(rng, 60):
+        if tw.m != 1:
+            continue
+        level = tw.levels[0]
+        delta = MultiPoly.var(f.table, level.name)
+        e_poly = delta**level.exponent - level.radicand.transport(f.table)
+        expected = sympy.resultant(to_sympy(e_poly), to_sympy(f), sym(level.name))
+        assert sympy.expand(to_sympy(tower_norm(f, level)) - expected) == 0
+        checked += 1
+    assert checked >= 10
+
+
+def test_tower_norm_rejects_unreduced_input():
+    level = tower_circle().levels[0]
+    with pytest.raises(DomainError):
+        tower_norm(d1**2 + t, level)
+
+
+def test_reducible_tower_kills_the_remainder():
+    # d^2 = t^2 splits, and d - t vanishes on one of its branches
+    tw = RadicalTower(TD1, [RadicalLevel("d1", 2, t**2)])
+    assert remainder_trace(d1 - t, tw)[-1].is_zero()
+    assert resultant_chain(d1 - t, tw)[-1].is_zero()
+    param = normalize_param(tw, [(t * d1 - t**2, d1 - t)])[0]
+    assert component_curve_poly(param, 1) is None
 
 
 # ----------------------------------------------------------------------
