@@ -212,11 +212,6 @@ def test_remainder_is_multiplicative():
 # tower norms against the resultant chain
 
 
-def _with_coordinate(tower):
-    """The tower's table plus an inert coordinate x, as component_curve_poly builds it."""
-    return VarTable(tower.table.names + ("x",), tower.table.roles + (Role.COORDINATE,))
-
-
 def _norm_cases(rng, count):
     """(f, tower) pairs: reduced polynomials, polynomials free of the top
     radical, and x*q - p over a table with an inert coordinate x.
@@ -238,7 +233,8 @@ def _norm_cases(rng, count):
             if f.is_zero():
                 continue
         else:
-            table = _with_coordinate(tw)
+            # an inert coordinate appended, as component_curve_poly does
+            table = VarTable(tw.table.names + ("x",), tw.table.roles + (Role.COORDINATE,))
             x = MultiPoly.var(table, "x")
             p = random_reduced_poly(rng, tw, tdeg=2, max_terms=3).transport(table)
             q = random_reduced_poly(rng, tw, tdeg=2, max_terms=2).transport(table)
