@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, StructuralError
@@ -421,6 +422,24 @@ def leading_form(f: MultiPoly, wv: WeightVector) -> MultiPoly:
 # exact division
 
 
+def _sub_monomial_multiple(
+    acc: dict[Exponent, Fraction], g: MultiPoly, lead: Exponent, expo: Exponent, q: Fraction
+) -> None:
+    """acc -= q * x^(expo - lead) * g in place, skipping g's lead term,
+    which the caller has already cancelled.  Keys keep their places and
+    new ones follow in g's order, as in the polynomial difference."""
+    shift = tuple(map(sub, expo, lead))
+    for e, c in g.coeffs.items():
+        if e == lead:
+            continue
+        key = tuple(map(add, e, shift))
+        v = acc.get(key, 0) - q * c
+        if v:
+            acc[key] = v
+        else:
+            del acc[key]
+
+
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Quotient f/g when the division is exact; DomainError otherwise."""
     f._check(g)
@@ -432,15 +451,14 @@ def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f * (1 / g.const_value())
     g_expo, g_coeff = g.leading_term()
     quot: dict[Exponent, Fraction] = {}
-    rem = f
-    while not rem.is_zero():
-        r_expo, r_coeff = rem.leading_term()
-        diff = tuple(a - b for a, b in zip(r_expo, g_expo))
+    rem = dict(f.coeffs)
+    while rem:
+        r_expo = max(rem, key=_grlex_key)
+        diff = tuple(map(sub, r_expo, g_expo))
         if any(k < 0 for k in diff):
             raise DomainError("division is not exact")
-        c = r_coeff / g_coeff
-        quot[diff] = quot.get(diff, Fraction(0)) + c
-        rem = rem - MultiPoly.monomial(f.table, diff, c) * g
+        c = quot[diff] = rem.pop(r_expo) / g_coeff
+        _sub_monomial_multiple(rem, g, g_expo, r_expo, c)
     return MultiPoly(f.table, quot)
 
 

@@ -3,9 +3,11 @@
 Buchberger's algorithm with the normal pair-selection strategy and the
 coprime-leading-monomial criterion, always returning the reduced basis
 (unique for a given term order, so recomputation and permutation of the
-generators reproduce it bit for bit).  A step budget guards against
-runaway computations; exceeding it raises ResourceError so callers can
-degrade to cheaper sufficient checks.
+generators reproduce it bit for bit).  Each basis element's leading
+term is computed once, when the element joins the basis, and every
+reduction step subtracts its monomial multiple in place from one term
+map.  A step budget guards against runaway computations; exceeding it
+raises ResourceError so callers can degrade to cheaper sufficient checks.
 
 Term orders: lexicographic, graded reverse lexicographic, and a block
 order (grevlex within each block) whose first block is eliminated.  A
@@ -16,12 +18,11 @@ without one, which is what makes elimination ideals drop out of a basis.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import Exponent, MultiPoly, VarTable
+from .arith import Exponent, MultiPoly, VarTable, _sub_monomial_multiple
 from .errors import DomainError, ResourceError, StructuralError
 
 DEFAULT_STEP_BUDGET = 10**6
@@ -95,9 +96,10 @@ def _priority(table: VarTable, names: Sequence[str] | None) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class IdealBasis:
+    """A reduced Groebner basis, sorted by decreasing leading term."""
+
     generators: tuple[MultiPoly, ...]
     order: TermOrder
-    reduced: bool
 
 
 class _Budget:
@@ -110,40 +112,45 @@ class _Budget:
             raise ResourceError("Groebner step budget exhausted")
 
 
+Lead = tuple[Exponent, Fraction]
+
+
 def _divides(a: Exponent, b: Exponent) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _monomial_quot(table: VarTable, a: Exponent, b: Exponent, c: Fraction) -> MultiPoly:
-    return MultiPoly.monomial(table, tuple(x - y for x, y in zip(a, b)), c)
+def _reduce_full(
+    f: MultiPoly, basis: list[MultiPoly], leads: list[Lead], order: TermOrder, budget: _Budget
+) -> MultiPoly:
+    """Fully reduce f: no remaining monomial divisible by a basis lead.
 
-
-def _reduce_full(f: MultiPoly, basis: list[MultiPoly], order: TermOrder, budget: _Budget) -> MultiPoly:
-    """Fully reduce f: no remaining monomial divisible by a basis lead."""
-    leads = [order.leading(g) for g in basis]
-    table = f.table
-    tail = f
+    leads[k] is the leading (exponent, coefficient) of basis[k].  The
+    tail's leading term is reduced by the first basis element whose
+    lead divides it, or else moved to the result.
+    """
+    tail = dict(f.coeffs)
     done: dict[Exponent, Fraction] = {}
-    while not tail.is_zero():
-        expo, c = order.leading(tail)
+    while tail:
+        expo = max(tail, key=order.key)
+        c = tail.pop(expo)
         for g, (lme, lmc) in zip(basis, leads):
             if _divides(lme, expo):
                 budget.spend()
-                tail = tail - _monomial_quot(table, expo, lme, c / lmc) * g
+                _sub_monomial_multiple(tail, g, lme, expo, c / lmc)
                 break
         else:
             done[expo] = c
-            tail = tail - MultiPoly.monomial(table, expo, c)
-    return MultiPoly(table, done)
+    return MultiPoly(f.table, done)
 
 
-def _spoly(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
-    (fe, fc) = order.leading(f)
-    (ge, gc) = order.leading(g)
-    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
-    return _monomial_quot(f.table, lcm, fe, Fraction(1, 1) / fc) * f - _monomial_quot(
-        g.table, lcm, ge, Fraction(1, 1) / gc
-    ) * g
+def _spoly(f: MultiPoly, f_lead: Lead, g: MultiPoly, g_lead: Lead) -> MultiPoly:
+    """lcm/lt(f) * f - lcm/lt(g) * g; the two lead terms cancel."""
+    (fe, fc), (ge, gc) = f_lead, g_lead
+    lcm = tuple(map(max, fe, ge))
+    acc: dict[Exponent, Fraction] = {}
+    _sub_monomial_multiple(acc, f, fe, lcm, -1 / fc)
+    _sub_monomial_multiple(acc, g, ge, lcm, 1 / gc)
+    return MultiPoly(f.table, acc)
 
 
 def buchberger(
@@ -157,61 +164,48 @@ def buchberger(
         if g.table != order.table:
             raise StructuralError("generator over a different table than the order")
     budget = _Budget(step_budget)
-    if not work:
-        return IdealBasis((), order, True)
     basis: list[MultiPoly] = []
+    leads: list[Lead] = []
+    pairs: list[tuple[int, int, int]] = []  # (degree of the lead lcm, i, j)
+
+    def add(r: MultiPoly) -> None:
+        lead = order.leading(r)
+        for i, (e, _) in enumerate(leads):
+            heapq.heappush(pairs, (sum(map(max, e, lead[0])), i, len(basis)))
+        basis.append(r)
+        leads.append(lead)
+
     for g in work:
         # interreduce the inputs a little; keeps pair counts down
-        r = _reduce_full(g, basis, order, budget) if basis else g
+        r = _reduce_full(g, basis, leads, order, budget) if basis else g
         if not r.is_zero():
-            basis.append(r)
-    pairs: list[tuple[int, int, int]] = []
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        _push_pair(pairs, basis, order, i, j)
+            add(r)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        fe, _ = order.leading(basis[i])
-        ge, _ = order.leading(basis[j])
-        if all(a == 0 or b == 0 for a, b in zip(fe, ge)):
+        if all(a == 0 or b == 0 for a, b in zip(leads[i][0], leads[j][0])):
             continue  # coprime leading monomials: S-poly reduces to zero
         budget.spend()
-        r = _reduce_full(_spoly(basis[i], basis[j], order), basis, order, budget)
-        if r.is_zero():
-            continue
-        basis.append(r)
-        new = len(basis) - 1
-        for i2 in range(new):
-            _push_pair(pairs, basis, order, i2, new)
-    return IdealBasis(_reduce_basis(basis, order, budget), order, True)
-
-
-def _push_pair(pairs, basis, order, i, j) -> None:
-    fe, _ = order.leading(basis[i])
-    ge, _ = order.leading(basis[j])
-    lcm_deg = sum(max(a, b) for a, b in zip(fe, ge))
-    heapq.heappush(pairs, (lcm_deg, i, j))
-
-
-def _reduce_basis(basis: list[MultiPoly], order: TermOrder, budget: _Budget) -> tuple[MultiPoly, ...]:
-    # minimal: drop generators whose lead another lead divides
-    keep: list[MultiPoly] = []
-    leads = [order.leading(g)[0] for g in basis]
-    for i, g in enumerate(basis):
-        dominated = any(
-            j != i and _divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
-            for j in range(len(basis))
-        )
-        if not dominated:
-            keep.append(g)
-    # interreduce tails and normalize to monic
-    reduced: list[MultiPoly] = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = _reduce_full(g, others, order, budget) if others else g
-        lc = order.leading(r)[1]
-        reduced.append(r * (1 / lc))
-    reduced.sort(key=lambda p: order.key(order.leading(p)[0]), reverse=True)
-    return tuple(reduced)
+        r = _reduce_full(_spoly(basis[i], leads[i], basis[j], leads[j]), basis, leads, order, budget)
+        if not r.is_zero():
+            add(r)
+    # minimal: drop elements whose lead another lead divides
+    keep = [
+        i
+        for i, (e, _) in enumerate(leads)
+        if not any(j != i and _divides(d, e) and (d != e or j < i) for j, (d, _) in enumerate(leads))
+    ]
+    # interreduce tails against the other kept elements and make monic;
+    # no other kept lead divides an element's lead, so the lead survives
+    reduced: list[tuple[tuple, MultiPoly]] = []
+    for i in keep:
+        others = [j for j in keep if j != i]
+        g = basis[i]
+        if others:
+            g = _reduce_full(g, [basis[j] for j in others], [leads[j] for j in others], order, budget)
+        expo, lc = leads[i]
+        reduced.append((order.key(expo), g * (1 / lc)))
+    reduced.sort(key=lambda kr: kr[0], reverse=True)
+    return IdealBasis(tuple(g for _, g in reduced), order)
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +249,6 @@ def elimination_ideal(
 
 def is_zero_dimensional(basis: IdealBasis) -> bool:
     """Finiteness of the variety: every variable has a pure-power lead."""
-    if not basis.reduced:
-        raise DomainError("zero-dimensionality test needs a reduced basis")
     gens = basis.generators
     if any(g.is_const() and not g.is_zero() for g in gens):
         return True  # unit ideal, empty variety

@@ -30,6 +30,8 @@ from .tower import RadicalTower, normalized_remainder
 
 DEFAULT_FILTER_TOL = 1e-8
 
+SIEVE_LIMIT = 10**12  # largest |c_0 * c_d| the trial-division root sieve runs on
+
 
 def _extended_table(tower: RadicalTower, extra: Sequence[str], role: Role) -> VarTable:
     names = tower.table.names + tuple(extra)
@@ -85,8 +87,9 @@ class CandidatePolySet:
         return bound
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """Exact rational roots of c_0 + c_1 x + ... by the classical sieve."""
+def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
+    """Exact rational roots of c_0 + c_1 x + ... by the classical sieve,
+    or None when the end coefficients are too large to sieve."""
     lo = 0
     while lo < len(coeffs) - 1 and coeffs[lo] == 0:
         lo += 1
@@ -96,6 +99,8 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     ints = [int(c * scale) for c in coeffs]
     content = math.gcd(*(abs(c) for c in ints if c))
     ints = [c // content for c in ints]
+    if abs(ints[0] * ints[-1]) > SIEVE_LIMIT:
+        return None
 
     def divisors(n: int) -> list[int]:
         n = abs(n)
@@ -160,6 +165,9 @@ def candidate_polys(param: RadicalParametrization, tol: float = DEFAULT_ROOT_TOL
             continue
         coeffs = [c.const_value() for c in lead.univariate_coeffs(x_idx)]
         exact = _rational_roots(coeffs)
+        if exact is None:  # sound: the candidates come from the numeric roots anyway
+            skipped = "rational root sieve skipped, coefficients too large"
+            exact, note = [], skipped if note is None else f"{note}; {skipped}"
         numeric = complex_roots([complex(c) for c in coeffs], tol)
         reps: dict[tuple[float, float], complex] = {}
         for z in numeric:
@@ -182,16 +190,9 @@ class Condition2Locus:
 def condition2_locus(
     param: RadicalParametrization, i: int, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> Condition2Locus:
-    tower = param.tower
-    comp = param.components[i - 1]
-    gens = [tower.level_poly(j) for j in range(tower.m)]
-    gens += [comp.numerator, comp.denominator]
+    order = TermOrder.grevlex(param.tower.table)
     try:
-        basis = buchberger(
-            [g for g in gens if not g.is_zero()],
-            TermOrder.grevlex(tower.table),
-            step_budget,
-        )
+        basis = buchberger(param.common_zero_ideal(i), order, step_budget)
     except ResourceError:
         return Condition2Locus("unknown", None)
     gs = basis.generators

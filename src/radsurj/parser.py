@@ -33,6 +33,7 @@ from .surjcheck import RadicalParametrization, normalize_param
 from .tower import RadicalLevel, RadicalTower
 
 _SYMBOLS = ("{", "}", "(", ")", ";", "=", "+", "-", "*", "/", "^")
+MAX_NESTING = 64  # parentheses are parsed recursively, so their depth is capped
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
     line, col = 1, 1
-    i = 0
+    i = depth = 0
     while i < len(text):
         c = text[i]
         if c == "\n":
@@ -71,6 +72,9 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token("ident", text[start:i], line, col))
             col += i - start
         elif c in _SYMBOLS:
+            depth += (c == "(") - (c == ")")
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line, col)
             out.append(_Token("symbol", c, line, col))
             col += 1
             i += 1
@@ -98,7 +102,7 @@ class _Var:
 
 @dataclass(frozen=True)
 class _Op:
-    op: str  # + - * ^ neg
+    op: str  # + * (any number of operands), ^ and neg
     args: tuple
 
 
@@ -133,30 +137,31 @@ class _Parser:
     # -------------------------------------------------- expressions
 
     def parse_expr(self):
-        node = self.parse_term()
+        args = [self.parse_term()]
         while self.at_symbol("+") or self.at_symbol("-"):
-            op = self.advance().text
-            rhs = self.parse_term()
-            node = _Op(op, (node, rhs))
-        return node
+            negate = self.advance().text == "-"
+            term = self.parse_term()
+            args.append(_Op("neg", (term,)) if negate else term)  # a - b is a + (-b)
+        return _Op("+", tuple(args)) if len(args) > 1 else args[0]
 
     def parse_term(self):
-        node = self.parse_factor()
+        args = [self.parse_factor()]
         while self.at_symbol("*"):
             self.advance()
-            node = _Op("*", (node, self.parse_factor()))
-        return node
+            args.append(self.parse_factor())
+        return _Op("*", tuple(args)) if len(args) > 1 else args[0]
 
     def parse_factor(self):
-        if self.at_symbol("-"):
+        negate = False
+        while self.at_symbol("-"):
             self.advance()
-            return _Op("neg", (self.parse_factor(),))
+            negate = not negate
         node = self.parse_atom()
         if self.at_symbol("^"):
             self.advance()
             ex = self.expect("int")
             node = _Op("^", (node, int(ex.text)))
-        return node
+        return _Op("neg", (node,)) if negate else node
 
     def parse_atom(self):
         tok = self.cur
@@ -193,12 +198,10 @@ def _to_poly(node, table: VarTable) -> MultiPoly:
         return -_to_poly(node.args[0], table)
     if node.op == "^":
         return _to_poly(node.args[0], table) ** node.args[1]
-    a, b = (_to_poly(arg, table) for arg in node.args)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    return a * b
+    acc = _to_poly(node.args[0], table)
+    for arg in node.args[1:]:  # left to right, in a loop however long the sum
+        acc = acc + _to_poly(arg, table) if node.op == "+" else acc * _to_poly(arg, table)
+    return acc
 
 
 # ----------------------------------------------------------------------

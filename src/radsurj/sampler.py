@@ -111,15 +111,13 @@ def enumerate_branches(
                 grown.append(deltas + (0j,))
                 continue
             principal = cmath.exp(cmath.log(val) / e)
-            grown.extend(deltas + (principal * w,) for w in rotations)
-        partial = grown
-    if branch_tol > 0:
-        for deltas in partial:
-            point = [t0, *deltas]
-            for i, level in enumerate(tower.levels):
-                err = abs(deltas[i] ** level.exponent - level.radicand.eval_complex(point))
-                if err > branch_tol * max(1.0, abs(deltas[i]) ** level.exponent):
+            for w in rotations:
+                delta = principal * w
+                # val is final: the radicand reads only earlier radicals
+                if branch_tol > 0 and abs(delta**e - val) > branch_tol * max(1.0, abs(delta) ** e):
                     raise NumericError(f"branch violates level {level.name} beyond tolerance")
+                grown.append(deltas + (delta,))
+        partial = grown
     return partial
 
 

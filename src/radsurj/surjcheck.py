@@ -57,6 +57,13 @@ class RadicalParametrization:
     def n(self) -> int:
         return len(self.components)
 
+    def common_zero_ideal(self, i: int) -> list[MultiPoly]:
+        """Tower polynomials, numerator and denominator of component i
+        (1-based): their common zeros are where it takes the form 0/0."""
+        comp = self.components[i - 1]
+        levels = [self.tower.level_poly(j) for j in range(self.tower.m)]
+        return levels + [comp.numerator, comp.denominator]
+
 
 def default_coordinates(n: int) -> tuple[str, ...]:
     if n <= 3:
@@ -194,10 +201,8 @@ def hypothesis2(
     exact_result: bool | None = None
     gcd_result: bool | None = None
     if strategy in ("exact", "auto"):
-        gens = [tower.level_poly(j) for j in range(tower.m)]
-        gens += [comp.numerator, comp.denominator]
         try:
-            exact_result = ideal_is_trivial(gens, step_budget=step_budget)
+            exact_result = ideal_is_trivial(param.common_zero_ideal(i), step_budget=step_budget)
             route = "exact" if exact_result else None
             return bool(exact_result), route, exact_result, None
         except ResourceError:

@@ -4,8 +4,9 @@ sympy is used here as an independent desk calculator to cross-check
 exact results; the package itself never imports it.  The reference
 oracles at the end (subresultant resultant and the resultant chain
 built from it, Sylvester determinant, sign-product conjugation,
-single-level fast guilt, exact and uncached complex evaluation) are
-second implementations that the tests compare the package against.
+single-level fast guilt, exact and uncached complex evaluation,
+division and Groebner reduction on immutable polynomials) are second
+implementations that the tests compare the package against.
 """
 
 import itertools
@@ -203,6 +204,57 @@ def complex_eval_corpus(rng: Random) -> list[tuple[MultiPoly, list[tuple[complex
         )
 
     return [(p, [point(p.table.arity) for _ in range(3)]) for p in polys]
+
+
+def exact_div_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """arith.exact_div with a new remainder polynomial per step.
+
+    The loop the package ran before it subtracted in one mutable term
+    map; same steps, so quotients agree down to their term order.
+    """
+    f._check(g)
+    if g.is_zero():
+        raise DomainError("division by the zero polynomial")
+    if f.is_zero():
+        return f
+    if g.is_const():
+        return f * (1 / g.const_value())
+    g_expo, g_coeff = g.leading_term()
+    quot = {}
+    rem = f
+    while not rem.is_zero():
+        r_expo, r_coeff = rem.leading_term()
+        diff = tuple(a - b for a, b in zip(r_expo, g_expo))
+        if any(k < 0 for k in diff):
+            raise DomainError("division is not exact")
+        c = r_coeff / g_coeff
+        quot[diff] = quot.get(diff, Fraction(0)) + c
+        rem = rem - MultiPoly.monomial(f.table, diff, c) * g
+    return MultiPoly(f.table, quot)
+
+
+def reduce_full_ref(f: MultiPoly, basis, order, budget) -> MultiPoly:
+    """ideal._reduce_full with leads recomputed and a new tail per step.
+
+    Same selection rule (the tail's leading term, then the first basis
+    element whose lead divides it) and one budget step per reduction.
+    """
+    leads = [order.leading(g) for g in basis]
+    table = f.table
+    tail = f
+    done = {}
+    while not tail.is_zero():
+        expo, c = order.leading(tail)
+        for g, (lme, lmc) in zip(basis, leads):
+            if all(x <= y for x, y in zip(lme, expo)):
+                budget.spend()
+                shift = tuple(x - y for x, y in zip(expo, lme))
+                tail = tail - MultiPoly.monomial(table, shift, c / lmc) * g
+                break
+        else:
+            done[expo] = c
+            tail = tail - MultiPoly.monomial(table, expo, c)
+    return MultiPoly(table, done)
 
 
 def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:

@@ -28,6 +28,7 @@ from support import (
     T_ONLY,
     complex_eval_corpus,
     eval_complex_ref,
+    exact_div_ref,
     random_nonzero_poly,
     random_poly,
     resultant,
@@ -160,6 +161,26 @@ def test_exact_div_roundtrip(f, g):
 def test_exact_div_inexact_raises():
     with pytest.raises(DomainError):
         exact_div(t + 1, t - 1)
+
+
+def test_exact_div_matches_immutable_reference():
+    # products and sums give quotients and remainders whose term order
+    # differs from the canonical one; the order must come out the same
+    rng = Random(2027)
+    for _ in range(150):
+        g = random_nonzero_poly(rng, TD12, max_exp=2, max_terms=4)
+        f = random_poly(rng, TD12, max_exp=3, max_terms=5) * g
+        if rng.random() < 0.2:
+            f = f + random_poly(rng, TD12, max_exp=2, max_terms=2)
+        try:
+            want = exact_div_ref(f, g)
+        except DomainError:
+            with pytest.raises(DomainError):
+                exact_div(f, g)
+            continue
+        got = exact_div(f, g)
+        assert got == want
+        assert list(got.coeffs) == list(want.coeffs)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, JSON shape, golden files."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 from jsonschema import Draft7Validator
@@ -79,6 +81,39 @@ def test_semantic_error_exits_two(tmp_path, capsys):
     bad.write_text("tower { d^2 = t; } param { x = t / 0; }")
     code, doc, err = run(["check", str(bad)], capsys)
     assert code == 2 and doc is None
+
+
+def test_deep_nesting_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.rs"
+    deep.write_text("tower { } param { x = " + "(" * 1000 + "t" + ")" * 1000 + "; }")
+    code, doc, err = run(["nf", str(deep), "--expr", "t"], capsys)
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_mutated_inputs_exit_with_documented_codes(tmp_path, capsys):
+    # delete, repeat, swap or replace tokens of the example inputs
+    rng = Random(20261018)
+    sources = [re.findall(r"\w+|\S", p.read_text()) for p in sorted(DATA.glob("*.rs"))]
+    path = tmp_path / "mutant.rs"
+    for _ in range(300):
+        tokens = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(tokens))
+            op = rng.randrange(4)
+            if op == 0:
+                del tokens[i]
+            elif op == 1:
+                tokens.insert(i, tokens[i])
+            elif op == 2 and i + 1 < len(tokens):
+                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+            else:
+                tokens[i] = rng.choice(tokens)
+        text = " ".join(tokens)
+        path.write_text(text)
+        code = cli.main(["nf", str(path), "--expr", "t"])
+        capsys.readouterr()
+        assert code in (0, 2, 4), text
 
 
 @pytest.mark.parametrize("error", [DomainError, StructuralError])
@@ -237,6 +272,28 @@ def test_sample_skips_condition2_loci(monkeypatch, capsys):
 
 # ----------------------------------------------------------------------
 # stability and goldens
+
+
+def test_huge_coefficients_skip_the_rational_root_sieve(tmp_path):
+    # a 31-digit end coefficient kept trial division running for hours;
+    # run in a child process so a regression fails on the timeout
+    huge = tmp_path / "huge.rs"
+    huge.write_text(
+        "tower { } param { x = t^2 / (1000000000000000000000000000057*t^2 + 1); y = t; }"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "radsurj.cli", "missing", str(huge), "--stable"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    x = json.loads(proc.stdout)["missing"]["coordinate_polys"][0]
+    assert x["lead_coeff"] == "1000000000000000000000000000057*x - 1"
+    assert x["rational_roots"] == []
+    assert len(x["numeric_roots"]) == 1
+    assert x["note"] == "rational root sieve skipped, coefficients too large"
+    validate(json.loads(proc.stdout))
 
 
 def test_stable_output_is_reproducible(capsys):

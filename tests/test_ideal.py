@@ -1,12 +1,12 @@
+import itertools
 from random import Random
 
 import pytest
 import sympy
 
 from radsurj.arith import MultiPoly, Role, VarTable
-from radsurj.errors import DomainError, ResourceError, StructuralError
+from radsurj.errors import ResourceError, StructuralError
 from radsurj.ideal import (
-    IdealBasis,
     TermOrder,
     buchberger,
     elimination_ideal,
@@ -14,7 +14,7 @@ from radsurj.ideal import (
     is_zero_dimensional,
 )
 
-from support import TD1, random_poly, to_sympy
+from support import TD1, TD12, random_nonzero_poly, random_poly, reduce_full_ref, to_sympy
 
 t = MultiPoly.var(TD1, "t")
 d1 = MultiPoly.var(TD1, "d1")
@@ -59,7 +59,6 @@ def test_single_generator_basis_is_itself_monic():
     g = 2 * d1**2 - 2 * (1 - t**2)
     basis = buchberger([g], GREVLEX)
     assert basis.generators == (d1**2 + t**2 - 1,)
-    assert basis.reduced
 
 
 def test_pinned_hypothesis2_failure_instance():
@@ -92,13 +91,92 @@ def test_buchberger_self_criterion():
     gens = [d1**2 - t, t * d1 - 1]
     basis = buchberger(gens, GREVLEX)
     out = list(basis.generators)
+    leads = [GREVLEX.leading(g) for g in out]
     budget = _Budget(10**6)
     for g in gens:
-        assert _reduce_full(g, out, GREVLEX, budget).is_zero()
+        assert _reduce_full(g, out, leads, GREVLEX, budget).is_zero()
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            s = _spoly(out[i], out[j], GREVLEX)
-            assert _reduce_full(s, out, GREVLEX, budget).is_zero()
+            s = _spoly(out[i], leads[i], out[j], leads[j])
+            assert _reduce_full(s, out, leads, GREVLEX, budget).is_zero()
+
+
+def _reduce_or_raise(reduce, budget):
+    try:
+        return reduce(budget), budget.remaining
+    except ResourceError:
+        return "exhausted", budget.remaining
+
+
+def test_reduction_matches_immutable_reference():
+    from radsurj.ideal import _Budget, _reduce_full, _spoly
+
+    rng = Random(2026)
+    orders = [
+        TermOrder.grevlex(TD12),
+        TermOrder.lex(TD12),
+        TermOrder.block(TD12, ["d2"], ["t", "d1"]),
+    ]
+    exhausted = 0
+    for order in orders:
+        for _ in range(40):
+            basis = [
+                random_nonzero_poly(rng, TD12, max_exp=2, max_terms=3)
+                for _ in range(rng.randint(1, 3))
+            ]
+            leads = [order.leading(g) for g in basis]
+            f = random_poly(rng, TD12, max_exp=3, max_terms=4)
+            for g in basis:
+                f = f + random_poly(rng, TD12, max_exp=2, max_terms=3) * g
+            limit = rng.choice([10**6, rng.randint(0, 8)])
+            got, spent = _reduce_or_raise(
+                lambda b: _reduce_full(f, basis, leads, order, b), _Budget(limit)
+            )
+            want, want_spent = _reduce_or_raise(
+                lambda b: reduce_full_ref(f, basis, order, b), _Budget(limit)
+            )
+            assert got == want
+            assert spent == want_spent
+            if want == "exhausted":
+                exhausted += 1
+            else:
+                assert list(got.coeffs) == list(want.coeffs)
+            for i, j in itertools.combinations(range(len(basis)), 2):
+                (fe, fc), (ge, gc) = leads[i], leads[j]
+                lcm = tuple(map(max, fe, ge))
+                shift_f = tuple(a - b for a, b in zip(lcm, fe))
+                shift_g = tuple(a - b for a, b in zip(lcm, ge))
+                want_s = MultiPoly.monomial(TD12, shift_f, 1 / fc) * basis[i] - (
+                    MultiPoly.monomial(TD12, shift_g, 1 / gc) * basis[j]
+                )
+                got_s = _spoly(basis[i], leads[i], basis[j], leads[j])
+                assert got_s == want_s
+                assert list(got_s.coeffs) == list(want_s.coeffs)
+    assert 0 < exhausted < 60
+
+
+def test_least_step_budget_is_pinned():
+    # the smallest budget each ideal succeeds with, measured before the
+    # reduction loop subtracted in place: the step count must not move
+    tb, db, xb, yb, zb = (MultiPoly.var(CIRCLE_TABLE, n) for n in CIRCLE_TABLE.names)
+    t2, u1, u2 = (MultiPoly.var(TD12, n) for n in TD12.names)
+    cases = [
+        ([d1**2 - t, t * d1 - 1, t**3 - d1], GREVLEX, 21),
+        (
+            [db**2 - (1 - tb**2), tb - xb, db - yb, zb - 1],
+            TermOrder.block(CIRCLE_TABLE, ["t", "d1", "z"], ["x", "y"]),
+            4,
+        ),
+        (
+            [u1**2 - t2, u2**3 - u1 - t2, u1 * u2 - t2**2 + 1],
+            TermOrder.lex(TD12, ["d2", "d1", "t"]),
+            152,
+        ),
+    ]
+    for gens, order, least in cases:
+        buchberger(gens, order, step_budget=least)
+        with pytest.raises(ResourceError):
+            buchberger(gens, order, step_budget=least - 1)
 
 
 def test_matches_sympy_groebner():
@@ -197,9 +275,3 @@ def test_unit_ideal_is_zero_dimensional():
 def test_curve_is_not_zero_dimensional():
     basis = buchberger([d1**2 - (1 - t**2)], GREVLEX)
     assert not is_zero_dimensional(basis)
-
-
-def test_zero_dimensional_needs_reduced_basis():
-    fake = IdealBasis((t,), GREVLEX, reduced=False)
-    with pytest.raises(DomainError):
-        is_zero_dimensional(fake)

@@ -145,6 +145,20 @@ def test_candidate_polys_keeps_content_roots():
     assert polys.hyp1_bound == 1
 
 
+def test_rational_sieve_bound():
+    # |c_0 * c_d| at the bound is sieved; past it the roots stay numeric
+    # and the skip joins any other note of the coordinate
+    for c, sieved in ((10**12, True), (10**12 + 1, False), (10**30 + 57, False)):
+        param, _ = normalize_param(
+            RadicalTower(T_ONLY, []), [(c * ONET, ONET), (tt, ONET)], ["x", "y"]
+        )
+        cx = candidate_polys(param).coordinates[0]
+        assert cx.rational_roots == ((Fraction(c),) if sieved else ())
+        assert cx.numeric_roots == pytest.approx([c])
+        skipped = "; rational root sieve skipped, coefficients too large"
+        assert cx.note == "curve polynomial is constant in t" + ("" if sieved else skipped)
+
+
 # ----------------------------------------------------------------------
 # bounds
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from radsurj.arith import MultiPoly, Role, VarTable
 from radsurj.errors import InputError, ParseError
-from radsurj.parser import parse, parse_source, print_source
+from radsurj.parser import MAX_NESTING, parse, parse_poly, parse_source, print_source
 
 CIRCLE = """
 tower {
@@ -184,6 +185,36 @@ def test_zero_coefficient_denominator():
 
 def test_trailing_garbage():
     error_at("tower { } param { x = t; } extra")
+
+
+def test_long_sums_and_products_fold_left_to_right():
+    table = VarTable(("t",), (Role.PARAMETER,))
+    t = MultiPoly.var(table, "t")
+    text = "1"
+    want = MultiPoly.one(table)
+    for k in range(1, 2000):
+        op = "-" if k % 3 == 0 else "+"
+        term = (k % 5 + 1) * t ** (k % 17)
+        text += f" {op} {k % 5 + 1}*t^{k % 17}"
+        want = want - term if op == "-" else want + term
+    got = parse_poly(text, table)
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)
+    assert parse_poly(" * ".join(["t"] * 2000), table) == t**2000
+
+
+def test_parenthesis_depth_is_bounded():
+    table = VarTable(("t",), (Role.PARAMETER,))
+    t = MultiPoly.var(table, "t")
+    deep = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    assert parse_poly(deep, table) == t
+    for text, col in (("(" + deep + ")", MAX_NESTING + 1), ("-(" + deep + ")", MAX_NESTING + 2)):
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            parse_poly(text, table)
+        assert info.value.col == col
+    # unary minus signs need no nesting
+    assert parse_poly("-" * 1001 + "t^2", table) == -(t**2)
+    assert parse_poly("2 - - -t", table) == 2 - t
 
 
 def test_semantic_errors_come_from_validation():

@@ -156,6 +156,17 @@ def test_enumerate_branches_satisfy_tower_equations():
                 assert abs(lhs - level.radicand.eval_complex(point)) <= 1e-9 * max(1, abs(lhs))
 
 
+def test_branch_check_names_the_lowest_failing_level():
+    # levels are checked as they are built; at t = 4 the rotated square
+    # root -2 carries a rounding error that no positive tolerance this
+    # small forgives, and a tolerance of 0 turns the check off
+    tower = RadicalTower(TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 3, 3 * e1 + t2)])
+    assert len(enumerate_branches(tower, 4 + 0j)) == 6
+    with pytest.raises(NumericError, match="^branch violates level d1 beyond tolerance$"):
+        enumerate_branches(tower, 4 + 0j, branch_tol=1e-300)
+    assert enumerate_branches(tower, 4 + 0j, branch_tol=0) == enumerate_branches(tower, 4 + 0j)
+
+
 # ----------------------------------------------------------------------
 # image clouds
 
