@@ -561,18 +561,6 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return _unit_normalize(c * a)
 
 
-def univ_gcd(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
-    """Monic gcd of two univariate polynomials in var."""
-    for p in (f, g):
-        if not p.variables() <= {var}:
-            raise DomainError("univ_gcd arguments must be univariate")
-    d = poly_gcd(f, g)
-    if d.is_zero():
-        return d
-    lead = d.coeff_poly(var, int(d.degree(var))).const_value()
-    return d * (1 / lead)
-
-
 def squarefree_part(f: MultiPoly, var: int) -> MultiPoly:
     """Product of the distinct irreducible factors involving var.
 

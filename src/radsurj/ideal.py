@@ -9,18 +9,18 @@ reduction step subtracts its monomial multiple in place from one term
 map.  A step budget guards against runaway computations; exceeding it
 raises ResourceError so callers can degrade to cheaper sufficient checks.
 
-Term orders: lexicographic, graded reverse lexicographic, and a block
-order (grevlex within each block) whose first block is eliminated.  A
-monomial containing an eliminated variable is larger than any monomial
-without one, which is what makes elimination ideals drop out of a basis.
+Term orders: graded reverse lexicographic, and a block order (grevlex
+within each block) whose first block is eliminated.  A monomial
+containing an eliminated variable is larger than any monomial without
+one, which is what makes elimination ideals drop out of a basis.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arith import Exponent, MultiPoly, VarTable, _sub_monomial_multiple
 from .errors import DomainError, ResourceError, StructuralError
@@ -30,68 +30,52 @@ DEFAULT_STEP_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class TermOrder:
-    """A monomial order: kind plus variable priority, split for blocks.
+    """Grevlex on an eliminated block of variables, then grevlex on the rest.
 
-    priority lists variable indices from most to least significant; for
-    a block order the first `split` entries form the eliminated block.
+    priority lists variable indices from most to least significant; the
+    first `split` entries form the eliminated block, so split 0 is plain
+    grevlex.  key is built once, at construction.
     """
 
     table: VarTable
-    kind: str
     priority: tuple[int, ...]
     split: int = 0
+    key: Callable[[Exponent], tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("lex", "grevlex", "block"):
-            raise StructuralError(f"unknown order kind {self.kind!r}")
         if sorted(self.priority) != list(range(self.table.arity)):
             raise StructuralError("order priority must be a permutation of the variables")
-        if self.kind == "block" and not 0 <= self.split <= len(self.priority):
+        if not 0 <= self.split <= len(self.priority):
             raise StructuralError("block split out of range")
+        # each block least significant variable first: the reverse-lex tie-break
+        head = tuple(reversed(self.priority[: self.split]))
+        tail = tuple(reversed(self.priority[self.split :]))
+        if head:
+            def key(e: Exponent) -> tuple:
+                h, t = [-e[v] for v in head], [-e[v] for v in tail]
+                return (-sum(h), h, -sum(t), t)
+        else:
+            def key(e: Exponent) -> tuple:
+                return (sum(e), [-e[v] for v in tail])
+        object.__setattr__(self, "key", key)
 
     @staticmethod
-    def lex(table: VarTable, names: Sequence[str] | None = None) -> "TermOrder":
-        return TermOrder(table, "lex", _priority(table, names))
-
-    @staticmethod
-    def grevlex(table: VarTable, names: Sequence[str] | None = None) -> "TermOrder":
-        return TermOrder(table, "grevlex", _priority(table, names))
+    def grevlex(table: VarTable) -> "TermOrder":
+        """Last table variable most significant, parameter last."""
+        return TermOrder(table, tuple(reversed(range(table.arity))))
 
     @staticmethod
     def block(table: VarTable, eliminate: Sequence[str], keep: Sequence[str]) -> "TermOrder":
         if sorted((*eliminate, *keep)) != sorted(table.names):
             raise StructuralError("block order must partition the variable table")
         prio = tuple(table.index(n) for n in (*eliminate, *keep))
-        return TermOrder(table, "block", prio, split=len(eliminate))
-
-    def key(self, expo: Exponent):
-        if self.kind == "lex":
-            return tuple(expo[v] for v in self.priority)
-        if self.kind == "grevlex":
-            return (sum(expo), tuple(-expo[v] for v in reversed(self.priority)))
-        head = self.priority[: self.split]
-        tail = self.priority[self.split:]
-        return (
-            sum(expo[v] for v in head),
-            tuple(-expo[v] for v in reversed(head)),
-            sum(expo[v] for v in tail),
-            tuple(-expo[v] for v in reversed(tail)),
-        )
+        return TermOrder(table, prio, split=len(eliminate))
 
     def leading(self, f: MultiPoly) -> tuple[Exponent, Fraction]:
         if f.is_zero():
             raise DomainError("zero polynomial has no leading term")
         expo = max(f.coeffs, key=self.key)
         return expo, f.coeffs[expo]
-
-
-def _priority(table: VarTable, names: Sequence[str] | None) -> tuple[int, ...]:
-    if names is None:
-        # default: last table variable most significant, parameter last
-        return tuple(reversed(range(table.arity)))
-    if sorted(names) != sorted(table.names):
-        raise StructuralError("order names must be a permutation of the variable table")
-    return tuple(table.index(n) for n in names)
 
 
 @dataclass(frozen=True)
@@ -213,19 +197,15 @@ def buchberger(
 
 
 def ideal_is_trivial(
-    gens: Sequence[MultiPoly],
-    order: TermOrder | None = None,
-    step_budget: int = DEFAULT_STEP_BUDGET,
+    gens: Sequence[MultiPoly], step_budget: int = DEFAULT_STEP_BUDGET
 ) -> bool:
-    """Is the ideal the whole ring?  Order-independent."""
+    """Is the ideal the whole ring?  Decided by a grevlex basis."""
     nonzero = [g for g in gens if not g.is_zero()]
     if any(g.is_const() for g in nonzero):
         return True
     if not nonzero:
         return False
-    if order is None:
-        order = TermOrder.grevlex(nonzero[0].table)
-    basis = buchberger(nonzero, order, step_budget)
+    basis = buchberger(nonzero, TermOrder.grevlex(nonzero[0].table), step_budget)
     return len(basis.generators) == 1 and basis.generators[0].is_const()
 
 

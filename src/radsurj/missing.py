@@ -24,7 +24,7 @@ from typing import Sequence
 from .arith import MultiPoly, Role, VarTable, content_wrt, exact_div, squarefree_part
 from .errors import ResourceError
 from .ideal import DEFAULT_STEP_BUDGET, TermOrder, buchberger, elimination_ideal, is_zero_dimensional
-from .sampler import DEFAULT_ROOT_TOL, complex_roots, scaled_residual
+from .sampler import complex_roots, scaled_residual
 from .surjcheck import RadicalParametrization
 from .tower import RadicalTower, normalized_remainder
 
@@ -126,7 +126,7 @@ def _root_key(z: complex) -> tuple[float, float]:
     return (round(z.real, 9), round(z.imag, 9))
 
 
-def candidate_polys(param: RadicalParametrization, tol: float = DEFAULT_ROOT_TOL) -> CandidatePolySet:
+def candidate_polys(param: RadicalParametrization) -> CandidatePolySet:
     """c_i = leading t-coefficient of the squarefree part of G_i, with roots.
 
     A nonzero constant c_i means coordinate i admits no hypothesis-1
@@ -168,7 +168,7 @@ def candidate_polys(param: RadicalParametrization, tol: float = DEFAULT_ROOT_TOL
         if exact is None:  # sound: the candidates come from the numeric roots anyway
             skipped = "rational root sieve skipped, coefficients too large"
             exact, note = [], skipped if note is None else f"{note}; {skipped}"
-        numeric = complex_roots([complex(c) for c in coeffs], tol)
+        numeric = complex_roots([complex(c) for c in coeffs])
         reps: dict[tuple[float, float], complex] = {}
         for z in numeric:
             near = [r for r in exact if abs(z - complex(r)) <= 1e-6]
@@ -263,26 +263,19 @@ class MissingPointReport(CandidateSet):
     infinity_bound: int
     condition2: tuple[Condition2Locus, ...]
 
-    @property
-    def hyp1_bound(self) -> int | None:
-        return self.polys.hyp1_bound
-
 
 def filtered_candidates(
-    param: RadicalParametrization,
-    implicit: Sequence[MultiPoly] | None = None,
-    filter_tol: float = DEFAULT_FILTER_TOL,
-    step_budget: int = DEFAULT_STEP_BUDGET,
+    param: RadicalParametrization, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> CandidateSet:
     """Cartesian candidates filtered by the implicit equations."""
+    filter_tol = DEFAULT_FILTER_TOL
     notes: list[str] = []
     polys = candidate_polys(param)
-    if implicit is None:
-        try:
-            implicit = implicitize(param, step_budget)
-        except ResourceError:
-            implicit = None
-            notes.append("implicitization budget exhausted, candidates unfiltered")
+    try:
+        implicit = implicitize(param, step_budget)
+    except ResourceError:
+        implicit = None
+        notes.append("implicitization budget exhausted, candidates unfiltered")
     axes: list[tuple[complex, ...]] = []
     degenerate = False
     for coord in polys.coordinates:
@@ -308,13 +301,10 @@ def filtered_candidates(
 
 
 def missing_candidates(
-    param: RadicalParametrization,
-    implicit: Sequence[MultiPoly] | None = None,
-    filter_tol: float = DEFAULT_FILTER_TOL,
-    step_budget: int = DEFAULT_STEP_BUDGET,
+    param: RadicalParametrization, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> MissingPointReport:
     """Filtered candidates plus both bounds and the condition-2 loci."""
-    found = filtered_candidates(param, implicit, filter_tol, step_budget)
+    found = filtered_candidates(param, step_budget)
     notes = found.notes
     locus = tuple(condition2_locus(param, i, step_budget) for i in range(1, param.n + 1))
     if any(loc.classification == "unknown" for loc in locus):

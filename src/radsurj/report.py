@@ -110,7 +110,7 @@ def surjectivity_json(report: SurjectivityReport, param: RadicalParametrization)
 def missing_json(report: MissingPointReport, param: RadicalParametrization) -> dict:
     return {
         "candidates": [_point(pt) for pt in report.candidates],
-        "hyp1_bound": report.hyp1_bound,
+        "hyp1_bound": report.polys.hyp1_bound,
         "infinity_bound": report.infinity_bound,
         "coordinate_polys": [
             {

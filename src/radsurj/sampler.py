@@ -31,14 +31,16 @@ _MAX_ITER = 500
 # polynomial roots
 
 
-def complex_roots(coeffs: Sequence[complex], tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
+def complex_roots(coeffs: Sequence[complex]) -> list[complex]:
     """All complex roots by simultaneous (Durand-Kerner) iteration.
 
     coeffs lists the polynomial from the constant term up.  The start
     configuration is the classical deterministic spiral, so repeated
-    calls give identical output.  Raises NumericError with the best
-    iterate if 500 sweeps do not converge.
+    calls give identical output.  Converged means no root moved by more
+    than DEFAULT_ROOT_TOL times the root bound in a sweep.  Raises
+    NumericError with the best iterate if 500 sweeps do not converge.
     """
+    tol = DEFAULT_ROOT_TOL
     cs = [complex(c) for c in coeffs]
     while cs and abs(cs[-1]) == 0.0:
         cs.pop()
@@ -90,14 +92,15 @@ def complex_roots(coeffs: Sequence[complex], tol: float = DEFAULT_ROOT_TOL) -> l
 # branches and images
 
 
-def enumerate_branches(
-    tower: RadicalTower, t0: complex, branch_tol: float = DEFAULT_BRANCH_TOL
-) -> list[tuple[complex, ...]]:
+def enumerate_branches(tower: RadicalTower, t0: complex) -> list[tuple[complex, ...]]:
     """All choices of radical values over t0, depth first.
 
     Away from radicand zeros this yields exactly e_1 * ... * e_m tuples;
     a vanishing radicand collapses its level to the single value 0.
+    Every value must solve its level within DEFAULT_BRANCH_TOL
+    (relative), else NumericError names the level.
     """
+    branch_tol = DEFAULT_BRANCH_TOL
     partial: list[tuple[complex, ...]] = [()]
     for i, level in enumerate(tower.levels):
         e = level.exponent
@@ -114,7 +117,7 @@ def enumerate_branches(
             for w in rotations:
                 delta = principal * w
                 # val is final: the radicand reads only earlier radicals
-                if branch_tol > 0 and abs(delta**e - val) > branch_tol * max(1.0, abs(delta) ** e):
+                if abs(delta**e - val) > branch_tol * max(1.0, abs(delta) ** e):
                     raise NumericError(f"branch violates level {level.name} beyond tolerance")
                 grown.append(deltas + (delta,))
         partial = grown
@@ -135,10 +138,6 @@ class SampleReport:
     rejected: int
     max_implicit_residual: float | None
     denominator_tol: float
-
-    @property
-    def evaluations(self) -> int:
-        return len(self.accepted) + self.rejected
 
 
 def default_samples(points: int = 200) -> list[complex]:
@@ -246,15 +245,15 @@ def confirm_candidates(
     report: SampleReport,
     candidates: Sequence[tuple[complex, ...]],
     param: RadicalParametrization,
-    match_tol: float = DEFAULT_MATCH_TOL,
 ) -> list[CandidateVerdict]:
     """Heuristic coverage check of candidates against the sampled cloud.
 
     Each candidate is chased by a local parameter search seeded at the
     nearest cloud point; it counts as covered only when the refined
-    image lands within match_tol.  A likely-missing verdict reports the
-    minimum distance observed in the raw cloud.
+    image lands within DEFAULT_MATCH_TOL.  A likely-missing verdict
+    reports the minimum distance observed in the raw cloud.
     """
+    match_tol = DEFAULT_MATCH_TOL
     verdicts: list[CandidateVerdict] = []
     for cand in candidates:
         cand = tuple(complex(c) for c in cand)

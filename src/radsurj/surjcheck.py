@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import MultiPoly, univ_gcd, weighted_degree
+from .arith import MultiPoly, poly_gcd, weighted_degree
 from .errors import InputError, ResourceError
 from .ideal import DEFAULT_STEP_BUDGET, ideal_is_trivial
 from .tower import (
@@ -208,10 +208,10 @@ def hypothesis2(
         except ResourceError:
             if strategy == "exact":
                 raise
-    # gcd route: sufficient only
+    # gcd route: sufficient only; R(p) and R(q) are polynomials in t
     rp = normalized_remainder(comp.numerator, tower)
     rq = normalized_remainder(comp.denominator, tower)
-    g = univ_gcd(rp, rq, 0)
+    g = poly_gcd(rp, rq)
     gcd_result = g.is_const() and not g.is_zero()
     route = "gcd" if gcd_result else None
     return gcd_result, route, exact_result, gcd_result

@@ -5,8 +5,9 @@ exact results; the package itself never imports it.  The reference
 oracles at the end (subresultant resultant and the resultant chain
 built from it, Sylvester determinant, sign-product conjugation,
 single-level fast guilt, exact and uncached complex evaluation,
-division and Groebner reduction on immutable polynomials) are second
-implementations that the tests compare the package against.
+division and Groebner reduction on immutable polynomials, the term
+order key that dispatched on each call) are second implementations
+that the tests compare the package against.
 """
 
 import itertools
@@ -231,6 +232,21 @@ def exact_div_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         quot[diff] = quot.get(diff, Fraction(0)) + c
         rem = rem - MultiPoly.monomial(f.table, diff, c) * g
     return MultiPoly(f.table, quot)
+
+
+def term_order_key_ref(order, expo):
+    """ideal.TermOrder.key as it was before it was built once per order:
+    the block slices and the split-0 test are redone on every call."""
+    if order.split == 0:
+        return (sum(expo), tuple(-expo[v] for v in reversed(order.priority)))
+    head = order.priority[: order.split]
+    tail = order.priority[order.split:]
+    return (
+        sum(expo[v] for v in head),
+        tuple(-expo[v] for v in reversed(head)),
+        sum(expo[v] for v in tail),
+        tuple(-expo[v] for v in reversed(tail)),
+    )
 
 
 def reduce_full_ref(f: MultiPoly, basis, order, budget) -> MultiPoly:

@@ -176,7 +176,7 @@ def test_criterion_06_sharp_bounds_with_four_missing_points():
     started = time.perf_counter()
     param = cotas_param()
     report = missing_candidates(param)
-    assert report.hyp1_bound == 4
+    assert report.polys.hyp1_bound == 4
     assert report.infinity_bound == 4
     leads = [str(c.lead_coeff) for c in report.polys.coordinates]
     assert leads == ["x^2 - 1", "y^2 - 2"]

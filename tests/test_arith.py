@@ -17,7 +17,6 @@ from radsurj.arith import (
     poly_gcd,
     prem,
     squarefree_part,
-    univ_gcd,
     weighted_degree,
 )
 from radsurj.errors import DomainError, StructuralError
@@ -310,22 +309,11 @@ def test_resultant_swap_and_product_rules():
 # gcd and squarefree part
 
 def test_univ_gcd_pinned():
-    assert univ_gcd(t**4, t**4 - 3 * t**3 + t**2, 0) == t**2
-
-
-def test_univ_gcd_is_monic():
-    f = 4 * t**2 - 4
-    g = 6 * t - 6
-    assert univ_gcd(f, g, 0) == t - 1
+    assert poly_gcd(t**4, t**4 - 3 * t**3 + t**2) == t**2
 
 
 def test_univ_gcd_coprime_is_one():
-    assert univ_gcd(t**2 + 1, t - 3, 0) == MultiPoly.one(TD1)
-
-
-def test_univ_gcd_rejects_multivariate():
-    with pytest.raises(DomainError):
-        univ_gcd(t * d1, t, 0)
+    assert poly_gcd(t**2 + 1, t - 3) == MultiPoly.one(TD1)
 
 
 def test_poly_gcd_multivariate():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from radsurj.arith import MultiPoly, Role, VarTable
+from radsurj.arith import MultiPoly
 from radsurj.errors import ResourceError
 from radsurj.missing import (
     candidate_polys,
@@ -258,19 +258,19 @@ def test_missing_candidates_rational_circle_north_pole():
     assert len(rep.candidates) == 1
     (cand,) = rep.candidates
     assert abs(cand[0]) < 1e-12 and abs(cand[1] - 1) < 1e-12
-    assert rep.hyp1_bound == 1
+    assert rep.polys.hyp1_bound == 1
     assert rep.infinity_bound == 1
 
 
 def test_missing_candidates_sharp_counts_and_filter():
     rep = missing_candidates(sharp_bounds_param())
     assert len(rep.candidates) == 4
-    assert rep.hyp1_bound == 4 and rep.infinity_bound == 4
+    assert rep.polys.hyp1_bound == 4 and rep.infinity_bound == 4
     xs = sorted(c[0].real for c in rep.candidates)
     assert xs == pytest.approx([-1, -1, 1, 1])
     ys = sorted(abs(c[1].real) for c in rep.candidates)
     assert ys == pytest.approx([2**0.5] * 4)
-    assert [g for g in rep.implicit] and len(rep.candidates) <= rep.hyp1_bound
+    assert [g for g in rep.implicit] and len(rep.candidates) <= rep.polys.hyp1_bound
     assert all(loc.classification == "finite" for loc in rep.condition2)
 
 
@@ -281,13 +281,13 @@ def test_missing_candidates_filter_removes_off_curve_tuples():
     param = normalize_param(tower, [(tt**2 - tt, ONET), (tt, ONET)])[0]
     rep = missing_candidates(param)
     assert rep.candidates == ()
-    assert rep.hyp1_bound == 0
+    assert rep.polys.hyp1_bound == 0
 
 
 def test_missing_candidates_certified_instance_is_empty():
     rep = missing_candidates(circle_param())
     assert rep.candidates == ()
-    assert rep.hyp1_bound == 0
+    assert rep.polys.hyp1_bound == 0
     assert rep.condition2[0].classification == "empty"
 
 
@@ -304,12 +304,4 @@ def test_missing_candidates_budget_note_and_unfiltered():
     assert any("unfiltered" in n for n in rep.notes)
     assert any("condition-2" in n for n in rep.notes)
     # without the filter the full cartesian product is reported
-    assert len(rep.candidates) == 4
-
-
-def test_missing_candidates_accepts_supplied_implicit():
-    param = sharp_bounds_param()
-    table = VarTable(("x", "y"), (Role.COORDINATE, Role.COORDINATE))
-    x, y = MultiPoly.var(table, "x"), MultiPoly.var(table, "y")
-    rep = missing_candidates(param, implicit=[x**2 - y**2 + 1])
     assert len(rep.candidates) == 4
