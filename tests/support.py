@@ -6,18 +6,20 @@ oracles at the end (subresultant resultant and the resultant chain
 built from it, Sylvester determinant, sign-product conjugation,
 single-level fast guilt, exact and uncached complex evaluation,
 division and Groebner reduction on immutable polynomials, the term
-order key that dispatched on each call) are second implementations
-that the tests compare the package against.
+order key that dispatched on each call, Buchberger on exponent tuples)
+are second implementations that the tests compare the package against.
 """
 
+import heapq
 import itertools
 from fractions import Fraction
 from random import Random
 
 import sympy
 
-from radsurj.arith import MultiPoly, Role, VarTable, exact_div, prem
+from radsurj.arith import MultiPoly, Role, VarTable, _sub_monomial_multiple, exact_div, prem
 from radsurj.errors import DomainError, RadsurjError, StructuralError
+from radsurj.ideal import _Budget
 from radsurj.tower import RadicalTower, normal_form
 
 T_ONLY = VarTable(("t",), (Role.PARAMETER,))
@@ -271,6 +273,101 @@ def reduce_full_ref(f: MultiPoly, basis, order, budget) -> MultiPoly:
             done[expo] = c
             tail = tail - MultiPoly.monomial(table, expo, c)
     return MultiPoly(table, done)
+
+
+def pack_terms(order, f: MultiPoly) -> dict:
+    """f's term map keyed by packed order keys, as ideal.buchberger holds it."""
+    return {order.key(e): c for e, c in f.coeffs.items()}
+
+
+def unpack_terms(order, terms: dict) -> MultiPoly:
+    return MultiPoly._raw(order.table, {order.unpack(k): c for k, c in terms.items()})
+
+
+def divides_ref(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _reduce_full_tuple_ref(f: MultiPoly, basis, leads, key, budget) -> MultiPoly:
+    """ideal._reduce_full as it was on exponent tuples: the tail's
+    leading term found by a key function, divisibility by a generator."""
+    tail = dict(f.coeffs)
+    done = {}
+    while tail:
+        expo = max(tail, key=key)
+        c = tail.pop(expo)
+        for g, (lme, lmc) in zip(basis, leads):
+            if divides_ref(lme, expo):
+                budget.spend()
+                _sub_monomial_multiple(tail, g, lme, expo, c / lmc)
+                break
+        else:
+            done[expo] = c
+    return MultiPoly(f.table, done)
+
+
+def spoly_ref(f: MultiPoly, f_lead, g: MultiPoly, g_lead) -> MultiPoly:
+    """ideal._spoly as it was on exponent tuples."""
+    (fe, fc), (ge, gc) = f_lead, g_lead
+    lcm = tuple(map(max, fe, ge))
+    acc = {}
+    _sub_monomial_multiple(acc, f, fe, lcm, -1 / fc)
+    _sub_monomial_multiple(acc, g, ge, lcm, 1 / gc)
+    return MultiPoly(f.table, acc)
+
+
+def buchberger_ref(gens, order, step_budget: int) -> tuple[MultiPoly, ...]:
+    """ideal.buchberger as it was on exponent tuples, ordered by
+    term_order_key_ref: the same pair selection, criterion, budget
+    steps and term insertion order, so the same generators and bytes."""
+
+    def key(e):
+        return term_order_key_ref(order, e)
+
+    def leading(f):
+        expo = max(f.coeffs, key=key)
+        return expo, f.coeffs[expo]
+
+    budget = _Budget(step_budget)
+    basis, leads, pairs = [], [], []
+
+    def add(r):
+        lead = leading(r)
+        for i, (e, _) in enumerate(leads):
+            heapq.heappush(pairs, (sum(map(max, e, lead[0])), i, len(basis)))
+        basis.append(r)
+        leads.append(lead)
+
+    for g in (g for g in gens if not g.is_zero()):
+        r = _reduce_full_tuple_ref(g, basis, leads, key, budget) if basis else g
+        if not r.is_zero():
+            add(r)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        if all(a == 0 or b == 0 for a, b in zip(leads[i][0], leads[j][0])):
+            continue
+        budget.spend()
+        s = spoly_ref(basis[i], leads[i], basis[j], leads[j])
+        r = _reduce_full_tuple_ref(s, basis, leads, key, budget)
+        if not r.is_zero():
+            add(r)
+    keep = [
+        i
+        for i, (e, _) in enumerate(leads)
+        if not any(j != i and divides_ref(d, e) and (d != e or j < i) for j, (d, _) in enumerate(leads))
+    ]
+    reduced = []
+    for i in keep:
+        others = [j for j in keep if j != i]
+        g = basis[i]
+        if others:
+            g = _reduce_full_tuple_ref(
+                g, [basis[j] for j in others], [leads[j] for j in others], key, budget
+            )
+        expo, lc = leads[i]
+        reduced.append((key(expo), g * (1 / lc)))
+    reduced.sort(key=lambda kr: kr[0], reverse=True)
+    return tuple(g for _, g in reduced)
 
 
 def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:

@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from operator import add
 from random import Random
 
 import pytest
@@ -7,6 +9,7 @@ import sympy
 from radsurj.arith import MultiPoly, Role, VarTable
 from radsurj.errors import ResourceError, StructuralError
 from radsurj.ideal import (
+    CAP,
     TermOrder,
     buchberger,
     elimination_ideal,
@@ -17,11 +20,15 @@ from radsurj.ideal import (
 from support import (
     TD1,
     TD12,
+    buchberger_ref,
+    divides_ref,
+    pack_terms,
     random_nonzero_poly,
     random_poly,
     reduce_full_ref,
     term_order_key_ref,
     to_sympy,
+    unpack_terms,
 )
 
 t = MultiPoly.var(TD1, "t")
@@ -78,6 +85,62 @@ def test_block_order_elimination_property():
     assert order.leading(f)[0] == (0, 1)
 
 
+def _table(arity):
+    return VarTable(
+        tuple(f"v{i}" for i in range(arity)), (Role.PARAMETER,) + (Role.RADICAL,) * (arity - 1)
+    )
+
+
+def _orders(table, rng):
+    """Grevlex and a block order at every split, blocks drawn at random."""
+    orders = [TermOrder.grevlex(table)]
+    for split in range(table.arity + 1):
+        names = list(table.names)
+        rng.shuffle(names)
+        orders.append(TermOrder.block(table, names[:split], names[split:]))
+    return orders
+
+
+def test_packed_key_round_trips_shifts_and_divides():
+    from radsurj.ideal import _Budget, _lead, _reduce_full
+
+    rng = Random(31)
+    for arity in range(1, 7):
+        for order in _orders(_table(arity), rng):
+            zero = order.key((0,) * arity)
+            for _ in range(40):
+                top = rng.choice([3, CAP // (2 * arity + 2)])
+                a, b = (tuple(rng.randint(0, top) for _ in range(arity)) for _ in range(2))
+                if rng.random() < 0.3:  # b a multiple of a, so both answers occur
+                    b = tuple(x + rng.randint(0, 2) for x in a)
+                assert order.unpack(order.key(a)) == a
+                assert order.key(tuple(map(add, a, b))) == order.key(a) + order.key(b) - zero
+                # the reduction loop's mask test: x^b reduces to 0 by x^a iff a | b
+                g = {order.key(a): Fraction(1)}
+                rest = _reduce_full({order.key(b): Fraction(1)}, [g], [_lead(order, g)], order, _Budget(1))
+                assert (not rest) == divides_ref(a, b)
+
+
+def test_packed_key_bounds():
+    rng = Random(32)
+    for arity in range(1, 7):
+        for order in _orders(_table(arity), rng):
+            for v in range(arity):
+                e = tuple(CAP if w == v else 0 for w in range(arity))
+                assert order.unpack(order.key(e)) == e
+                with pytest.raises(ResourceError):
+                    order.key(tuple(CAP + 1 if w == v else 0 for w in range(arity)))
+    # input exponent 2^31
+    with pytest.raises(ResourceError):
+        buchberger([MultiPoly.monomial(TD1, (2**31, 0)) + d1], GREVLEX)
+    # a reduction step shifts t^CAP past the bound: d1*t - t*(d1 - t^CAP)
+    with pytest.raises(ResourceError):
+        buchberger([d1 - t**CAP, d1 * t], BLOCK)
+    # the lcm of t^CAP and d1*t has degree CAP + 1
+    with pytest.raises(ResourceError):
+        buchberger([t**CAP, d1 * t], GREVLEX)
+
+
 # ----------------------------------------------------------------------
 # buchberger basics
 
@@ -112,19 +175,23 @@ def test_reduced_basis_invariant_under_permutation():
 
 
 def test_buchberger_self_criterion():
-    from radsurj.ideal import _Budget, _reduce_full, _spoly
+    from radsurj.ideal import _Budget, _lead, _reduce_full, _spoly
 
     gens = [d1**2 - t, t * d1 - 1]
     basis = buchberger(gens, GREVLEX)
-    out = list(basis.generators)
-    leads = [GREVLEX.leading(g) for g in out]
+    out = [pack_terms(GREVLEX, g) for g in basis.generators]
+    leads = [_lead(GREVLEX, g) for g in out]
     budget = _Budget(10**6)
+
+    def reduce(f):
+        return unpack_terms(GREVLEX, _reduce_full(f, out, leads, GREVLEX, budget))
+
     for g in gens:
-        assert _reduce_full(g, out, leads, GREVLEX, budget).is_zero()
+        assert reduce(pack_terms(GREVLEX, g)).is_zero()
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            s = _spoly(out[i], leads[i], out[j], leads[j])
-            assert _reduce_full(s, out, leads, GREVLEX, budget).is_zero()
+            s = _spoly(out[i], leads[i], out[j], leads[j], GREVLEX)
+            assert reduce(s).is_zero()
 
 
 def _reduce_or_raise(reduce, budget):
@@ -135,7 +202,7 @@ def _reduce_or_raise(reduce, budget):
 
 
 def test_reduction_matches_immutable_reference():
-    from radsurj.ideal import _Budget, _reduce_full, _spoly
+    from radsurj.ideal import _Budget, _lead, _reduce_full, _spoly
 
     rng = Random(2026)
     orders = [
@@ -151,12 +218,17 @@ def test_reduction_matches_immutable_reference():
                 for _ in range(rng.randint(1, 3))
             ]
             leads = [order.leading(g) for g in basis]
+            packed = [pack_terms(order, g) for g in basis]
+            packed_leads = [_lead(order, g) for g in packed]
             f = random_poly(rng, TD12, max_exp=3, max_terms=4)
             for g in basis:
                 f = f + random_poly(rng, TD12, max_exp=2, max_terms=3) * g
             limit = rng.choice([10**6, rng.randint(0, 8)])
             got, spent = _reduce_or_raise(
-                lambda b: _reduce_full(f, basis, leads, order, b), _Budget(limit)
+                lambda b: unpack_terms(
+                    order, _reduce_full(pack_terms(order, f), packed, packed_leads, order, b)
+                ),
+                _Budget(limit),
             )
             want, want_spent = _reduce_or_raise(
                 lambda b: reduce_full_ref(f, basis, order, b), _Budget(limit)
@@ -175,7 +247,9 @@ def test_reduction_matches_immutable_reference():
                 want_s = MultiPoly.monomial(TD12, shift_f, 1 / fc) * basis[i] - (
                     MultiPoly.monomial(TD12, shift_g, 1 / gc) * basis[j]
                 )
-                got_s = _spoly(basis[i], leads[i], basis[j], leads[j])
+                got_s = unpack_terms(
+                    order, _spoly(packed[i], packed_leads[i], packed[j], packed_leads[j], order)
+                )
                 assert got_s == want_s
                 assert list(got_s.coeffs) == list(want_s.coeffs)
     assert 0 < exhausted < 60
@@ -228,6 +302,39 @@ def test_step_budget_exhaustion():
     gens = [d1**2 - t, t * d1 - 1, t**3 - d1]
     with pytest.raises(ResourceError):
         buchberger(gens, GREVLEX, step_budget=3)
+
+
+def _basis_or_exhausted(run):
+    try:
+        return run()
+    except ResourceError:
+        return "exhausted"
+
+
+def test_buchberger_matches_tuple_reference():
+    # packed keys against the tuple-keyed loop: same generators, same
+    # term order inside each, same exhaustion, over every split
+    rng = Random(2027)
+    table5 = _table(5)
+    runs = exhausted = 0
+    for table, per_order, max_exp in ((TD12, 24, 2), (table5, 12, 2)):
+        for order in _orders(table, rng):
+            for _ in range(per_order):
+                gens = [
+                    random_nonzero_poly(rng, table, max_exp=max_exp, max_terms=3)
+                    for _ in range(rng.randint(2, 3))
+                ]
+                limit = rng.choice([2000, rng.randint(0, 40)])
+                got = _basis_or_exhausted(lambda: buchberger(gens, order, limit).generators)
+                want = _basis_or_exhausted(lambda: buchberger_ref(gens, order, limit))
+                assert got == want
+                if want == "exhausted":
+                    exhausted += 1
+                else:
+                    assert [list(g.coeffs) for g in got] == [list(g.coeffs) for g in want]
+                runs += 1
+    assert runs >= 200
+    assert 0 < exhausted < runs
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from radsurj.arith import MultiPoly
 from radsurj.errors import ResourceError
+from radsurj.ideal import CAP
 from radsurj.missing import (
     candidate_polys,
     component_curve_poly,
@@ -213,6 +214,17 @@ def test_condition2_locus_budget_gives_unknown():
     locus = condition2_locus(param, 1, step_budget=1)
     assert locus.classification == "unknown"
     assert locus.basis is None
+
+
+def test_condition2_locus_unknown_past_packed_exponent_bound():
+    # exponents past CAP do not fit a packed monomial key: an input
+    # exponent of 2^31, and an S-pair lcm d1 * t^CAP of degree CAP + 1
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, t)])
+    for num, den in ((t ** (CAP + 1), d1), (t**CAP, d1 * t)):
+        param = normalize_param(tower, [(num, den)])[0]
+        locus = condition2_locus(param, 1)
+        assert locus.classification == "unknown"
+        assert locus.basis is None
 
 
 # ----------------------------------------------------------------------
