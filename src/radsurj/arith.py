@@ -524,14 +524,17 @@ def content_wrt(f: MultiPoly, var: int) -> MultiPoly:
 
 
 def primitive_wrt(f: MultiPoly, var: int) -> MultiPoly:
+    """f divided by its content in var, then unit-normalized; 0 stays 0."""
     if f.is_zero():
         return f
-    return exact_div(f, content_wrt(f, var))
+    return _unit_normalize(exact_div(f, content_wrt(f, var)))
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Multivariate gcd over the rationals.
+    """Multivariate gcd over the rationals by the primitive PRS.
 
+    Each pseudo-remainder is replaced by its unit-normalized primitive
+    part, or its coefficient size would roughly double at every step.
     The result is unit-normalized: integer coefficients, content 1,
     positive leading graded lex coefficient.  gcd(0, 0) = 0 and the gcd
     of anything with a nonzero constant is 1.
@@ -541,10 +544,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _unit_normalize(g)
     if g.is_zero():
         return _unit_normalize(f)
-    if f.is_const() or g.is_const():
-        return MultiPoly.one(f.table)
-    vf, vg = f.variables(), g.variables()
-    common = vf & vg
+    common = f.variables() & g.variables()
     if not common:
         return MultiPoly.one(f.table)
     x = max(common)
@@ -556,8 +556,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if a.degree(x) < b.degree(x):
         a, b = b, a
     while not b.is_zero():
-        r = prem(a, b, x)
-        a, b = b, (primitive_wrt(r, x) if not r.is_zero() else r)
+        a, b = b, primitive_wrt(prem(a, b, x), x)
     return _unit_normalize(c * a)
 
 

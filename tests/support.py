@@ -6,7 +6,8 @@ oracles at the end (subresultant resultant and the resultant chain
 built from it, Sylvester determinant, sign-product conjugation,
 single-level fast guilt, exact and uncached complex evaluation,
 division and Groebner reduction on immutable polynomials, the term
-order key that dispatched on each call, Buchberger on exponent tuples)
+order key that dispatched on each call, Buchberger on exponent tuples,
+the primitive PRS gcd that kept each remainder's rational scalar)
 are second implementations that the tests compare the package against.
 """
 
@@ -17,7 +18,15 @@ from random import Random
 
 import sympy
 
-from radsurj.arith import MultiPoly, Role, VarTable, _sub_monomial_multiple, exact_div, prem
+from radsurj.arith import (
+    MultiPoly,
+    Role,
+    VarTable,
+    _sub_monomial_multiple,
+    _unit_normalize,
+    exact_div,
+    prem,
+)
 from radsurj.errors import DomainError, RadsurjError, StructuralError
 from radsurj.ideal import _Budget
 from radsurj.tower import RadicalTower, normal_form
@@ -368,6 +377,57 @@ def buchberger_ref(gens, order, step_budget: int) -> tuple[MultiPoly, ...]:
         reduced.append((key(expo), g * (1 / lc)))
     reduced.sort(key=lambda kr: kr[0], reverse=True)
     return tuple(g for _, g in reduced)
+
+
+def content_wrt_ref(f: MultiPoly, var: int) -> MultiPoly:
+    """Content in var as poly_gcd_ref computes it."""
+    acc = MultiPoly.zero(f.table)
+    for c in f.univariate_coeffs(var):
+        if c.is_zero():
+            continue
+        acc = poly_gcd_ref(acc, c)
+        if acc.is_const():
+            break
+    return acc
+
+
+def primitive_wrt_ref(f: MultiPoly, var: int) -> MultiPoly:
+    """f over its content in var, rational scalar kept; for a
+    univariate f the content is 1 and nothing is removed."""
+    if f.is_zero():
+        return f
+    return exact_div(f, content_wrt_ref(f, var))
+
+
+def poly_gcd_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """arith.poly_gcd before its remainders were unit-normalized.
+
+    The same recursive PRS, but each remainder keeps the rational scalar
+    primitive_wrt_ref leaves on it, so coefficients roughly double in
+    size at every step; the result is unit-normalized as in the package.
+    """
+    f._check(g)
+    if f.is_zero():
+        return _unit_normalize(g)
+    if g.is_zero():
+        return _unit_normalize(f)
+    if f.is_const() or g.is_const():
+        return MultiPoly.one(f.table)
+    common = f.variables() & g.variables()
+    if not common:
+        return MultiPoly.one(f.table)
+    x = max(common)
+    cf = content_wrt_ref(f, x)
+    cg = content_wrt_ref(g, x)
+    c = poly_gcd_ref(cf, cg)
+    a = exact_div(f, cf)
+    b = exact_div(g, cg)
+    if a.degree(x) < b.degree(x):
+        a, b = b, a
+    while not b.is_zero():
+        r = prem(a, b, x)
+        a, b = b, (primitive_wrt_ref(r, x) if not r.is_zero() else r)
+    return _unit_normalize(c * a)
 
 
 def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:

@@ -28,6 +28,7 @@ from support import (
     complex_eval_corpus,
     eval_complex_ref,
     exact_div_ref,
+    poly_gcd_ref,
     random_nonzero_poly,
     random_poly,
     resultant,
@@ -342,6 +343,46 @@ def test_poly_gcd_random_common_factor():
         # h divides the gcd
         exact_div(d, poly_gcd(d, h))  # no exception
         assert poly_gcd(d, h) == poly_gcd(h, h)
+
+
+TX = VarTable(("t", "x"), (Role.PARAMETER, Role.COORDINATE))
+
+
+def gcd_corpus(rng: Random):
+    """Seeded gcd inputs, each variable of degree 4 or below: products
+    with a shared factor, squares against products and derivatives,
+    independent pairs, constants and zero, on rational multiples."""
+
+    def small(table, max_exp=2):
+        scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        return scale * random_nonzero_poly(rng, table, max_exp=max_exp, max_terms=3)
+
+    pairs = []
+    for table in (T_ONLY, TD1, TX):
+        zero, unit = MultiPoly.zero(table), MultiPoly.const(table, Fraction(-3, 7))
+        pairs += [(zero, zero), (unit, zero), (zero, unit)]
+        for _ in range(14):
+            h, f, g = small(table), small(table), small(table)
+            pairs.append((f * h, g * h))
+            pairs.append((f**2, f * g))
+            pairs.append((f**2, (f**2).derivative(0)))
+            pairs.append((small(table, 4), small(table, 4)))
+            pairs.append((unit, f * h) if rng.random() < 0.5 else (f * h, unit))
+            pairs.append((zero, f * g) if rng.random() < 0.5 else (f * g, zero))
+    return pairs
+
+
+def test_poly_gcd_matches_unnormalized_prs_reference():
+    pairs = gcd_corpus(Random(20261018))
+    assert len(pairs) >= 200
+    for i, (f, g) in enumerate(pairs):
+        ours, ref = poly_gcd(f, g), poly_gcd_ref(f, g)
+        assert ours == ref
+        assert list(ours.coeffs) == list(ref.coeffs)
+        if i % 5 or f.is_zero() or g.is_zero():
+            continue
+        theirs = sympy.gcd(to_sympy(f), to_sympy(g))
+        assert sympy.simplify(to_sympy(ours) / theirs).is_constant()
 
 
 def test_squarefree_part_pinned():

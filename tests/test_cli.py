@@ -296,6 +296,35 @@ def test_huge_coefficients_skip_the_rational_root_sieve(tmp_path):
     validate(json.loads(proc.stdout))
 
 
+def test_gcd_route_on_a_radical_tower_finishes(tmp_path):
+    # while the gcd's remainders kept their rational scalars,
+    # gcd(R(p), R(q)) ran for minutes on this check_towers instance;
+    # run in a child process so a regression fails on the timeout
+    src = tmp_path / "tower.rs"
+    src.write_text(
+        "tower { d1^2 = t^4 + t^2 - 4*t - 1; d2^3 = 2*t^4 - 4*t^2*d1; }\n"
+        "param { x = (2*t^2*d1 - t*d1) / (-2*t^4);\n"
+        "        y = -t^4*d1*d2^2 - 4*t^4*d1 + 3*t^2*d1*d2 - 2*t^2; }\n"
+        "settings { mode = suspicious; }\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "radsurj.cli", "check", str(src), "--ideal", "gcd", "--stable"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 3
+    doc = json.loads(proc.stdout)
+    validate(doc)
+    first = doc["surjectivity"]["components"][0]
+    # R(q) = 64*t^24 and t^6 divides R(p): the gcd is t^6, so the route cannot decide
+    assert first["remainder"].endswith("- 39*t^8 + t^6")
+    assert first["hyp2_gcd"] is False
+    assert doc["surjectivity"]["notes"][0] == (
+        "component 1: gcd route inconclusive, hypothesis 2 undecided"
+    )
+
+
 def test_stable_output_is_reproducible(capsys):
     _, first, _ = run(["check", str(DATA / "circle.rs"), "--stable"], capsys)
     _, second, _ = run(["check", str(DATA / "circle.rs"), "--stable"], capsys)

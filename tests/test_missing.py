@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -144,6 +146,36 @@ def test_candidate_polys_keeps_content_roots():
     assert cx.note == "curve polynomial is constant in t"
     assert cy.rational_roots == (Fraction(0),)
     assert polys.hyp1_bound == 1
+
+
+CANDIDATES_IN_CHILD = """
+import sys
+from radsurj import parse
+from radsurj.missing import candidate_polys
+polys = candidate_polys(parse(sys.stdin.read()))
+print([str(c.lead_coeff) for c in polys.coordinates], polys.hyp1_bound)
+"""
+
+
+def test_candidate_polys_squarefree_part_finishes():
+    # while the gcd's remainders kept their rational scalars, the
+    # squarefree part of this y-curve polynomial ran past 30 s; run in
+    # a child process so a regression fails on the timeout
+    source = (
+        "tower { d1^2 = 2*t^2 - 2*t - 2; d2^2 = -t^2 + 2*t + 1; }\n"
+        "param { x = (-d2 - 3) / (2*t^2 + 2);\n"
+        "        y = (3*t^2 - 2*t*d2 + 2*d1) / (2*t^2 + 2); }\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", CANDIDATES_IN_CHILD],
+        input=source,
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # both agree with the leading t-coefficient of sympy's squarefree part
+    assert proc.stdout == "['4*x^2', '16*y^4 - 96*y^3 + 248*y^2 - 312*y + 169'] 8\n"
 
 
 def test_rational_sieve_bound():
