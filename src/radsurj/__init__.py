@@ -17,7 +17,7 @@ from .errors import (
     ResourceError,
     StructuralError,
 )
-from .ideal import buchberger, elimination_ideal, ideal_is_trivial
+from .ideal import buchberger, common_zeros, elimination_ideal
 from .missing import (
     MissingPointReport,
     candidate_polys,
@@ -59,8 +59,8 @@ __all__ = [
     "ResourceError",
     "NumericError",
     "buchberger",
+    "common_zeros",
     "elimination_ideal",
-    "ideal_is_trivial",
     "MissingPointReport",
     "candidate_polys",
     "condition2_locus",

@@ -142,7 +142,10 @@ def _settings(args: argparse.Namespace, settings: dict[str, str]) -> tuple[str, 
 
 
 def _run(args: argparse.Namespace) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
+    try:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     src = parse_source(text)
     param = src.param
     for note in src.notes:

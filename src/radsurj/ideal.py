@@ -103,14 +103,6 @@ class TermOrder:
         return expo, f.coeffs[expo]
 
 
-@dataclass(frozen=True)
-class IdealBasis:
-    """A reduced Groebner basis, sorted by decreasing leading term."""
-
-    generators: tuple[MultiPoly, ...]
-    order: TermOrder
-
-
 class _Budget:
     def __init__(self, limit: int):
         self.remaining = limit
@@ -182,8 +174,9 @@ def buchberger(
     gens: Sequence[MultiPoly],
     order: TermOrder,
     step_budget: int = DEFAULT_STEP_BUDGET,
-) -> IdealBasis:
-    """Reduced Groebner basis; deterministic for a fixed order."""
+) -> tuple[MultiPoly, ...]:
+    """The reduced Groebner basis, monic and sorted by decreasing leading
+    term; deterministic for a fixed order."""
     work = [g for g in gens if not g.is_zero()]
     for g in work:
         if g.table != order.table:
@@ -232,24 +225,31 @@ def buchberger(
         terms = {order.unpack(e): inv * c for e, c in g.items()}
         reduced.append((leads[i][1], MultiPoly._raw(order.table, terms)))
     reduced.sort(key=lambda kr: kr[0], reverse=True)
-    return IdealBasis(tuple(g for _, g in reduced), order)
+    return tuple(g for _, g in reduced)
 
 
 # ----------------------------------------------------------------------
 # consumers
 
 
-def ideal_is_trivial(
+def common_zeros(
     gens: Sequence[MultiPoly], step_budget: int = DEFAULT_STEP_BUDGET
-) -> bool:
-    """Is the ideal the whole ring?  Decided by a grevlex basis."""
-    nonzero = [g for g in gens if not g.is_zero()]
-    if any(g.is_const() for g in nonzero):
-        return True
-    if not nonzero:
-        return False
-    basis = buchberger(nonzero, TermOrder.grevlex(nonzero[0].table), step_budget)
-    return len(basis.generators) == 1 and basis.generators[0].is_const()
+) -> tuple[str, tuple[MultiPoly, ...]]:
+    """Where the generators vanish together, as (kind, basis): kind is
+    "empty", "finite" or "positive-dimensional" and basis the reduced
+    grevlex basis, sorted by decreasing leading term.  A nonzero
+    constant generator answers ("empty", (1,)) without a basis run.
+    The variety is finite when every variable has a pure-power lead."""
+    table = gens[0].table
+    if any(g.is_const() and not g.is_zero() for g in gens):
+        return "empty", (MultiPoly.one(table),)
+    order = TermOrder.grevlex(table)
+    basis = buchberger(gens, order, step_budget)
+    if basis and basis[0].is_const():
+        return "empty", basis
+    supports = [[v for v, k in enumerate(order.leading(g)[0]) if k] for g in basis]
+    covered = {s[0] for s in supports if len(s) == 1}
+    return "finite" if len(covered) == table.arity else "positive-dimensional", basis
 
 
 def elimination_ideal(
@@ -265,23 +265,6 @@ def elimination_ideal(
     keep = list(keep)
     eliminate = [n for n in table.names if n not in keep]
     order = TermOrder.block(table, eliminate, keep)
-    basis = buchberger(nonzero, order, step_budget)
     keep_idx = {table.index(n) for n in keep}
-    return tuple(g for g in basis.generators if g.variables() <= keep_idx)
+    return tuple(g for g in buchberger(nonzero, order, step_budget) if g.variables() <= keep_idx)
 
-
-def is_zero_dimensional(basis: IdealBasis) -> bool:
-    """Finiteness of the variety: every variable has a pure-power lead."""
-    gens = basis.generators
-    if any(g.is_const() and not g.is_zero() for g in gens):
-        return True  # unit ideal, empty variety
-    if not gens:
-        return False
-    table = basis.order.table
-    covered = set()
-    for g in gens:
-        expo = basis.order.leading(g)[0]
-        support = [v for v, k in enumerate(expo) if k]
-        if len(support) == 1:
-            covered.add(support[0])
-    return covered == set(range(table.arity))

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .arith import MultiPoly, Role, VarTable, content_wrt, exact_div, squarefree_part
 from .errors import ResourceError
-from .ideal import DEFAULT_STEP_BUDGET, TermOrder, buchberger, elimination_ideal, is_zero_dimensional
+from .ideal import DEFAULT_STEP_BUDGET, common_zeros, elimination_ideal
 from .sampler import complex_roots, scaled_residual
 from .surjcheck import RadicalParametrization
 from .tower import RadicalTower, normalized_remainder
@@ -190,17 +190,10 @@ class Condition2Locus:
 def condition2_locus(
     param: RadicalParametrization, i: int, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> Condition2Locus:
-    order = TermOrder.grevlex(param.tower.table)
     try:
-        basis = buchberger(param.common_zero_ideal(i), order, step_budget)
+        return Condition2Locus(*common_zeros(param.common_zero_ideal(i), step_budget))
     except ResourceError:
         return Condition2Locus("unknown", None)
-    gs = basis.generators
-    if len(gs) == 1 and gs[0].is_const():
-        return Condition2Locus("empty", gs)
-    if is_zero_dimensional(basis):
-        return Condition2Locus("finite", gs)
-    return Condition2Locus("positive-dimensional", gs)
 
 
 def infinity_bound(tower: RadicalTower) -> int:

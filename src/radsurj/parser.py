@@ -59,15 +59,15 @@ def _tokenize(text: str) -> list[_Token]:
         elif c == "#":
             while i < len(text) and text[i] != "\n":
                 i += 1
-        elif c.isdigit():
+        elif c.isdecimal():  # the digits int() reads; isdigit() would admit "²"
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             out.append(_Token("int", text[start:i], line, col))
             col += i - start
-        elif c.isalpha() or c == "_":
+        elif c.isidentifier():
             start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+            while i < len(text) and ("_" + text[i]).isidentifier():
                 i += 1
             out.append(_Token("ident", text[start:i], line, col))
             col += i - start

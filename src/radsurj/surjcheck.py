@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .arith import MultiPoly, poly_gcd, weighted_degree
 from .errors import InputError, ResourceError
-from .ideal import DEFAULT_STEP_BUDGET, ideal_is_trivial
+from .ideal import DEFAULT_STEP_BUDGET, common_zeros
 from .tower import (
     GuiltReport,
     RadicalTower,
@@ -202,7 +202,7 @@ def hypothesis2(
     gcd_result: bool | None = None
     if strategy in ("exact", "auto"):
         try:
-            exact_result = ideal_is_trivial(param.common_zero_ideal(i), step_budget=step_budget)
+            exact_result = common_zeros(param.common_zero_ideal(i), step_budget)[0] == "empty"
             route = "exact" if exact_result else None
             return bool(exact_result), route, exact_result, None
         except ResourceError:

@@ -92,7 +92,9 @@ def test_deep_nesting_exits_two(tmp_path, capsys):
 
 
 def test_mutated_inputs_exit_with_documented_codes(tmp_path, capsys):
-    # delete, repeat, swap or replace tokens of the example inputs
+    # delete, repeat, swap or replace tokens of the example inputs; a
+    # replacement may also be a digit int() rejects, a non-ASCII letter
+    # or a non-ASCII decimal digit
     rng = Random(20261018)
     sources = [re.findall(r"\w+|\S", p.read_text()) for p in sorted(DATA.glob("*.rs"))]
     path = tmp_path / "mutant.rs"
@@ -108,12 +110,50 @@ def test_mutated_inputs_exit_with_documented_codes(tmp_path, capsys):
             elif op == 2 and i + 1 < len(tokens):
                 tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
             else:
-                tokens[i] = rng.choice(tokens)
+                tokens[i] = rng.choice(tokens + ["²", "é", "１"])
         text = " ".join(tokens)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         code = cli.main(["nf", str(path), "--expr", "t"])
         capsys.readouterr()
         assert code in (0, 2, 4), text
+
+
+def test_non_utf8_input_exits_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.rs"
+    bad.write_bytes(b"tower { } param { x = t; }  # caf\xe9\n")
+    code, doc, err = run(["check", str(bad)], capsys)
+    assert code == 2 and doc is None
+    assert err.startswith(f"error: {bad}: not UTF-8") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "source,argv",
+    [
+        ("tower { } param { x = t^²; }", ["check"]),
+        ("tower { } param { x = ²*t; }", ["check"]),
+        ("tower { } param { x = t; } settings { points = ²; }", ["sample"]),
+        ("tower { d²^2 = t; } param { x = t; }", ["check"]),
+        ("tower { } param { x² = t; }", ["check"]),
+        ("tower { } param { x = t; }", ["nf", "--expr", "²"]),
+    ],
+    ids=["exponent", "coefficient", "setting", "radical-name", "coordinate-name", "expr-flag"],
+)
+def test_non_decimal_digits_exit_two(source, argv, tmp_path, capsys):
+    src = tmp_path / "digits.rs"
+    src.write_text(source, encoding="utf-8")
+    command, *rest = argv
+    code, doc, err = run([command, str(src), *rest], capsys)
+    assert code == 2 and doc is None
+    assert err.startswith("error: line 1") and "unexpected character '²'" in err
+
+
+def test_non_ascii_letters_and_decimal_digits_parse(tmp_path, capsys):
+    src = tmp_path / "unicode.rs"
+    src.write_text("tower { } param { é = １*t; }", encoding="utf-8")
+    code, doc, _ = run(["nf", str(src), "--expr", "１２*t", "--stable"], capsys)
+    assert code == 0
+    assert doc["input"]["components"][0] == {"coordinate": "é", "numerator": "t", "denominator": "1"}
+    assert doc["value"]["value"] == "12*t"
 
 
 @pytest.mark.parametrize("error", [DomainError, StructuralError])

@@ -12,9 +12,8 @@ from radsurj.ideal import (
     CAP,
     TermOrder,
     buchberger,
+    common_zeros,
     elimination_ideal,
-    ideal_is_trivial,
-    is_zero_dimensional,
 )
 
 from support import (
@@ -147,31 +146,30 @@ def test_packed_key_bounds():
 def test_single_generator_basis_is_itself_monic():
     g = 2 * d1**2 - 2 * (1 - t**2)
     basis = buchberger([g], GREVLEX)
-    assert basis.generators == (d1**2 + t**2 - 1,)
+    assert basis == (d1**2 + t**2 - 1,)
 
 
 def test_pinned_hypothesis2_failure_instance():
     gens = [d1**2 - t, t * (d1 - 1), t - 1]
     basis = buchberger(gens, GREVLEX)
-    assert basis.generators == (d1 - 1, t - 1)
-    assert not ideal_is_trivial(gens)
-    assert is_zero_dimensional(basis)
+    assert basis == (d1 - 1, t - 1)
+    assert common_zeros(gens) == ("finite", basis)
 
 
 def test_coprime_constants_collapse_to_one():
     basis = buchberger([t, t - 1], BLOCK)
-    assert basis.generators == (MultiPoly.one(TD1),)
-    assert ideal_is_trivial([t, t - 1])
+    assert basis == (MultiPoly.one(TD1),)
+    assert common_zeros([t, t - 1]) == ("empty", basis)
 
 
 def test_reduced_basis_invariant_under_permutation():
     gens = [d1**2 - t, t * d1 - 1, t**3 - d1]
     rng = Random(4)
-    reference = buchberger(gens, GREVLEX).generators
+    reference = buchberger(gens, GREVLEX)
     for _ in range(5):
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        assert buchberger(shuffled, GREVLEX).generators == reference
+        assert buchberger(shuffled, GREVLEX) == reference
 
 
 def test_buchberger_self_criterion():
@@ -179,7 +177,7 @@ def test_buchberger_self_criterion():
 
     gens = [d1**2 - t, t * d1 - 1]
     basis = buchberger(gens, GREVLEX)
-    out = [pack_terms(GREVLEX, g) for g in basis.generators]
+    out = [pack_terms(GREVLEX, g) for g in basis]
     leads = [_lead(GREVLEX, g) for g in out]
     budget = _Budget(10**6)
 
@@ -288,7 +286,7 @@ def test_matches_sympy_groebner():
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
-        ours = buchberger(gens, GREVLEX).generators
+        ours = buchberger(gens, GREVLEX)
         theirs = sympy.groebner(
             [to_sympy(g) for g in gens], ds, ts, order="grevlex", domain=sympy.QQ
         )
@@ -325,7 +323,7 @@ def test_buchberger_matches_tuple_reference():
                     for _ in range(rng.randint(2, 3))
                 ]
                 limit = rng.choice([2000, rng.randint(0, 40)])
-                got = _basis_or_exhausted(lambda: buchberger(gens, order, limit).generators)
+                got = _basis_or_exhausted(lambda: buchberger(gens, order, limit))
                 want = _basis_or_exhausted(lambda: buchberger_ref(gens, order, limit))
                 assert got == want
                 if want == "exhausted":
@@ -342,12 +340,12 @@ def test_buchberger_matches_tuple_reference():
 
 def test_trivial_with_explicit_unit():
     gens = [d1**2 - (1 - t**2), t, MultiPoly.one(TD1)]
-    assert ideal_is_trivial(gens)
+    assert common_zeros(gens) == ("empty", (MultiPoly.one(TD1),))
 
 
 def test_nontrivial_with_common_zeros():
     gens = [d1**2 - (1 - t**2), d1, 1 - t**2]
-    assert not ideal_is_trivial(gens)
+    assert common_zeros(gens)[0] == "finite"
 
 
 def test_trivial_is_order_independent():
@@ -355,13 +353,31 @@ def test_trivial_is_order_independent():
     for _ in range(10):
         gens = [random_poly(rng, TD1, max_exp=2, max_terms=3) for _ in range(2)]
         one = (MultiPoly.one(TD1),)
-        block_ans = buchberger(gens, BLOCK).generators == one
-        assert block_ans == (buchberger(gens, GREVLEX).generators == one)
-        assert block_ans == ideal_is_trivial(gens)
+        block_ans = buchberger(gens, BLOCK) == one
+        assert block_ans == (buchberger(gens, GREVLEX) == one)
+        assert block_ans == (common_zeros(gens)[0] == "empty")
 
 
 def test_zero_ideal_is_not_trivial():
-    assert not ideal_is_trivial([MultiPoly.zero(TD1)])
+    assert common_zeros([MultiPoly.zero(TD1)]) == ("positive-dimensional", ())
+
+
+def test_common_zeros_matches_sympy_groebner():
+    # kind and basis against sympy's grevlex basis, whose variables run
+    # from the most significant (the last table variable) to t
+    rng = Random(10)
+    kinds = []
+    for table in (TD1, TD12) * 60:
+        syms = [sympy.Symbol(n) for n in reversed(table.names)]
+        gens = [random_nonzero_poly(rng, table, max_exp=2, max_terms=3) for _ in range(rng.randint(2, 3))]
+        kind, basis = common_zeros(gens)
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *syms, order="grevlex", domain=sympy.QQ)
+        unit = theirs.exprs == [1]
+        assert (kind == "empty") == unit
+        assert (kind == "finite") == (theirs.is_zero_dimensional and not unit)
+        assert [to_sympy(g) for g in basis] == [sympy.expand(e) for e in theirs.exprs]
+        kinds.append(kind)
+    assert set(kinds) == {"empty", "finite", "positive-dimensional"}
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +404,7 @@ def test_elimination_recovers_circle():
 def test_elimination_keep_everything_is_reduced_basis():
     gens = [d1**2 - t, t * d1 - 1]
     elim = elimination_ideal(gens, ["t", "d1"])
-    assert set(elim) == set(buchberger(gens, TermOrder.block(TD1, [], ["t", "d1"])).generators)
+    assert set(elim) == set(buchberger(gens, TermOrder.block(TD1, [], ["t", "d1"])))
 
 
 def test_eliminated_generators_free_of_dropped_vars():
@@ -402,10 +418,10 @@ def test_eliminated_generators_free_of_dropped_vars():
 # zero-dimensionality
 
 def test_unit_ideal_is_zero_dimensional():
-    basis = buchberger([MultiPoly.one(TD1)], BLOCK)
-    assert is_zero_dimensional(basis)
+    assert buchberger([MultiPoly.one(TD1)], BLOCK) == (MultiPoly.one(TD1),)
+    assert common_zeros([MultiPoly.one(TD1)]) == ("empty", (MultiPoly.one(TD1),))
 
 
 def test_curve_is_not_zero_dimensional():
     basis = buchberger([d1**2 - (1 - t**2)], GREVLEX)
-    assert not is_zero_dimensional(basis)
+    assert common_zeros([d1**2 - (1 - t**2)]) == ("positive-dimensional", basis)

@@ -1,12 +1,14 @@
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
 
 from radsurj.arith import MultiPoly
 from radsurj.errors import ResourceError
-from radsurj.ideal import CAP
+from radsurj.ideal import CAP, DEFAULT_STEP_BUDGET
 from radsurj.missing import (
     candidate_polys,
     component_curve_poly,
@@ -15,10 +17,11 @@ from radsurj.missing import (
     infinity_bound,
     missing_candidates,
 )
-from radsurj.surjcheck import normalize_param
+from radsurj.parser import parse
+from radsurj.surjcheck import hypothesis2, normalize_param
 from radsurj.tower import RadicalLevel, RadicalTower
 
-from support import TD1, TD12, T_ONLY, to_sympy
+from support import TD1, TD12, T_ONLY, random_reduced_poly, random_tower, to_sympy
 
 t = MultiPoly.var(TD1, "t")
 d1 = MultiPoly.var(TD1, "d1")
@@ -246,6 +249,51 @@ def test_condition2_locus_budget_gives_unknown():
     locus = condition2_locus(param, 1, step_budget=1)
     assert locus.classification == "unknown"
     assert locus.basis is None
+
+
+def test_condition2_locus_constant_denominator_needs_no_budget():
+    # y = d1 over 1: the constant generator decides, as it does for
+    # hypothesis 2, before any basis step is spent
+    locus = condition2_locus(circle_param(), 2, step_budget=1)
+    assert locus.classification == "empty"
+    assert locus.basis == (ONE,)
+
+
+def _agreement_params():
+    root = Path(__file__).resolve().parent
+    files = sorted(root.glob("data/*.rs")) + sorted(root.parent.glob("bench/frozen/*.rs"))
+    for path in files:
+        if path.name != "tall.rs":
+            yield parse(path.read_text())
+    rng = Random(31)
+    for _ in range(24):
+        tower = random_tower(rng, rng.randint(1, 2), max_e=2, tdeg=2)
+        pairs = []
+        for _ in range(2):
+            p, q = (random_reduced_poly(rng, tower, tdeg=2, max_terms=3) for _ in range(2))
+            if rng.random() < 0.5:  # a shared factor puts a common zero over t = 1
+                shared = MultiPoly.var(tower.table, "t") - 1
+                p, q = p * shared, q * shared
+            pairs.append((p, q))
+        yield normalize_param(tower, pairs)[0]
+
+
+def test_hypothesis2_exact_agrees_with_condition2_locus():
+    # one ideal, one query: wherever neither side runs out of budget,
+    # hypothesis 2 holds exactly when the condition-2 locus is empty
+    answers = []
+    for param in _agreement_params():
+        for i in range(1, param.n + 1):
+            for budget in (0, 1, 3, DEFAULT_STEP_BUDGET):
+                locus = condition2_locus(param, i, budget)
+                try:
+                    established = hypothesis2(param, i, "exact", budget)[0]
+                except ResourceError:
+                    continue
+                if locus.classification != "unknown":
+                    assert established == (locus.classification == "empty")
+                    answers.append(established)
+    assert len(answers) >= 100 and set(answers) == {True, False}
 
 
 def test_condition2_locus_unknown_past_packed_exponent_bound():

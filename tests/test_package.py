@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -34,3 +35,27 @@ def test_package_imports_only_the_standard_library():
     )
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) == len(radsurj.__all__) > 0
+
+
+def _imported_and_used(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Names the module's import statements bind, and the names it reads
+    or re-exports through __all__."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return imported, used
+
+
+def test_every_import_is_used():
+    for path in sorted(Path(radsurj.__file__).parent.glob("*.py")):
+        imported, used = _imported_and_used(ast.parse(path.read_text(encoding="utf-8")))
+        assert imported <= used, (path.name, sorted(imported - used))
