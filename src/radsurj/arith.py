@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, ResourceError, StructuralError
 
 NEG_INF = float("-inf")
 
@@ -440,26 +440,48 @@ def _sub_monomial_multiple(
             del acc[key]
 
 
+def poly_divmod(
+    f: MultiPoly, g: MultiPoly, step_budget: int | None = None
+) -> tuple[MultiPoly, MultiPoly]:
+    """Quotient and remainder of f by g's graded lex leading term.
+
+    f = quot * g + rem, and g's leading monomial divides no term of
+    rem; in one variable this is the usual division over Q.  Each step
+    adds one term to the quotient; a step past step_budget (None: no
+    limit) raises ResourceError.
+    """
+    f._check(g)
+    if g.is_zero():
+        raise DomainError("division by the zero polynomial")
+    g_expo, g_coeff = g.leading_term()
+    quot: dict[Exponent, Fraction] = {}
+    rem: dict[Exponent, Fraction] = {}
+    tail = dict(f.coeffs)
+    while tail:
+        r_expo = max(tail, key=_grlex_key)
+        c = tail.pop(r_expo)
+        diff = tuple(map(sub, r_expo, g_expo))
+        if any(k < 0 for k in diff):
+            rem[r_expo] = c
+            continue
+        if step_budget is not None and len(quot) >= step_budget:
+            raise ResourceError("division step budget exhausted")
+        c = quot[diff] = c / g_coeff
+        _sub_monomial_multiple(tail, g, g_expo, r_expo, c)
+    return MultiPoly._raw(f.table, quot), MultiPoly._raw(f.table, rem)
+
+
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Quotient f/g when the division is exact; DomainError otherwise."""
     f._check(g)
     if g.is_zero():
         raise DomainError("division by the zero polynomial")
-    if f.is_zero():
-        return f
     if g.is_const():
         return f * (1 / g.const_value())
-    g_expo, g_coeff = g.leading_term()
-    quot: dict[Exponent, Fraction] = {}
-    rem = dict(f.coeffs)
-    while rem:
-        r_expo = max(rem, key=_grlex_key)
-        diff = tuple(map(sub, r_expo, g_expo))
-        if any(k < 0 for k in diff):
-            raise DomainError("division is not exact")
-        c = quot[diff] = rem.pop(r_expo) / g_coeff
-        _sub_monomial_multiple(rem, g, g_expo, r_expo, c)
-    return MultiPoly(f.table, quot)
+    quot, rem = poly_divmod(f, g)
+    if rem:
+        raise DomainError("division is not exact")
+    return quot
 
 
 # ----------------------------------------------------------------------

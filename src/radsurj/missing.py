@@ -191,7 +191,8 @@ def condition2_locus(
     param: RadicalParametrization, i: int, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> Condition2Locus:
     try:
-        return Condition2Locus(*common_zeros(param.common_zero_ideal(i), step_budget))
+        gens, steps = param.common_zero_ideal(i, step_budget=step_budget)
+        return Condition2Locus(*common_zeros(gens, step_budget - steps))
     except ResourceError:
         return Condition2Locus("unknown", None)
 

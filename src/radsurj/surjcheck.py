@@ -12,11 +12,18 @@ CERTIFIED_SURJECTIVE and INCONCLUSIVE.  The checker evaluates
   numerator and denominator generate the whole ring, so no parameter
   value drives a component into 0/0.
 
-Hypothesis 2 has three routes: a constant denominator is immediate, the
-exact route decides by Groebner triviality, and the gcd route checks
-the sufficient condition gcd(R(p), R(q)) = 1.  The default strategy
-runs the exact route under a step budget and degrades to the gcd route
-when the budget runs out.
+Hypothesis 2 first builds h = gcd(r, R(p) mod r) in Q[t], where r is
+the denominator q itself when q lies in Q[t] and its normalized
+remainder R(q) otherwise.  Resultants lie in the ideal of their
+arguments, so h lies in the ideal of tower, p and q: a unit h proves
+the ideal trivial at once.  A constant denominator is immediate; the
+exact route asks for the common zeros of the ideal with h, which a
+unit h answers "empty" before any Groebner basis, and otherwise runs
+the basis with h among the generators; the gcd route asks only
+whether h is a unit, which is sufficient, never necessary.  The
+default strategy runs the exact route under a step budget, which
+h's division steps spend too, and falls back to the gcd route on
+the same h when the budget runs out.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import MultiPoly, poly_gcd, weighted_degree
+from .arith import MultiPoly, poly_divmod, poly_gcd, weighted_degree
 from .errors import InputError, ResourceError
-from .ideal import DEFAULT_STEP_BUDGET, common_zeros
+from .ideal import CAP, DEFAULT_STEP_BUDGET, common_zeros
 from .tower import (
     GuiltReport,
     RadicalTower,
@@ -57,12 +64,36 @@ class RadicalParametrization:
     def n(self) -> int:
         return len(self.components)
 
-    def common_zero_ideal(self, i: int) -> list[MultiPoly]:
-        """Tower polynomials, numerator and denominator of component i
-        (1-based): their common zeros are where it takes the form 0/0."""
+    def common_zero_ideal(
+        self, i: int, rp: MultiPoly | None = None, step_budget: int | None = None
+    ) -> tuple[list[MultiPoly], int]:
+        """Generators whose common zeros are where component i (1-based)
+        takes the form 0/0, and the division steps they cost.
+
+        The tower polynomials, numerator p and denominator q come
+        first.  Last is h = gcd(r, R(p) mod r) in Q[t], with r = q when
+        q lies in Q[t] and r = R(q) otherwise (R(p) mod 0 = R(p), for a
+        q that is a zero divisor); h = 1 when q is constant, and h = 0
+        (no generator) when R(p) or r has a t-degree past CAP, which no
+        basis could hold.  h lies in the ideal, so it moves
+        neither the common zeros nor the reduced basis.  rp is R(p) when
+        the caller has it; the division of R(p) by r spends step_budget
+        (None: no limit) and raises ResourceError past it.
+        """
         comp = self.components[i - 1]
+        p, q = comp.numerator, comp.denominator
         levels = [self.tower.level_poly(j) for j in range(self.tower.m)]
-        return levels + [comp.numerator, comp.denominator]
+        if q.is_const():
+            return levels + [p, q, MultiPoly.one(q.table)], 0
+        r = q if q.variables() <= {0} else normalized_remainder(q, self.tower)
+        rp = normalized_remainder(p, self.tower) if rp is None else rp
+        h, steps = MultiPoly.zero(q.table), 0
+        if max(r.degree(0), rp.degree(0)) <= CAP:
+            if r:
+                quot, rp = poly_divmod(rp, r, step_budget)
+                steps = len(quot.coeffs)
+            h = poly_gcd(r, rp)
+        return levels + [p, q, h], steps
 
 
 def default_coordinates(n: int) -> tuple[str, ...]:
@@ -186,35 +217,35 @@ def hypothesis2(
     i: int,
     strategy: str = "auto",
     step_budget: int = DEFAULT_STEP_BUDGET,
+    rp: MultiPoly | None = None,
 ) -> tuple[bool, str | None, bool | None, bool | None]:
     """No-common-zero condition for component i (1-based).
 
-    Returns (established, route, exact_result, gcd_result).  The exact
-    route is decisive both ways; the gcd route only ever establishes.
+    Returns (established, route, exact_result, gcd_result).  Both
+    routes start from h (see RadicalParametrization.common_zero_ideal;
+    rp is R(p) when the caller has it).  The exact route is decisive
+    both ways: a unit h gives "empty" without a basis run, otherwise
+    the basis runs on the ideal with h, and h's division steps count
+    against step_budget.  The gcd route, "h is a unit", only ever
+    establishes; it runs without a budget, and after an exhausted
+    budget auto reuses h unless h's own division ran out.
     """
     if strategy not in ("exact", "gcd", "auto"):
         raise InputError(f"unknown hypothesis-2 strategy {strategy!r}")
-    comp = param.components[i - 1]
-    tower = param.tower
-    if comp.denominator.is_const():
+    if param.components[i - 1].denominator.is_const():
         return True, "constant-denominator", None, None
-    exact_result: bool | None = None
-    gcd_result: bool | None = None
-    if strategy in ("exact", "auto"):
+    gens = None
+    if strategy != "gcd":
         try:
-            exact_result = common_zeros(param.common_zero_ideal(i), step_budget)[0] == "empty"
-            route = "exact" if exact_result else None
-            return bool(exact_result), route, exact_result, None
+            gens, steps = param.common_zero_ideal(i, rp, step_budget)
+            exact_result = common_zeros(gens, step_budget - steps)[0] == "empty"
+            return exact_result, "exact" if exact_result else None, exact_result, None
         except ResourceError:
             if strategy == "exact":
                 raise
-    # gcd route: sufficient only; R(p) and R(q) are polynomials in t
-    rp = normalized_remainder(comp.numerator, tower)
-    rq = normalized_remainder(comp.denominator, tower)
-    g = poly_gcd(rp, rq)
-    gcd_result = g.is_const() and not g.is_zero()
-    route = "gcd" if gcd_result else None
-    return gcd_result, route, exact_result, gcd_result
+    h = (gens or param.common_zero_ideal(i, rp)[0])[-1]
+    gcd_result = h.is_const() and not h.is_zero()
+    return gcd_result, "gcd" if gcd_result else None, None, gcd_result
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +266,7 @@ def check_surjective(
     for rec in records:
         try:
             established, route, exact_res, gcd_res = hypothesis2(
-                param, rec.index, strategy, step_budget
+                param, rec.index, strategy, step_budget, rec.guilt.remainder if rec.guilt else None
             )
         except ResourceError:
             established, route, exact_res, gcd_res = False, None, None, None

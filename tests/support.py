@@ -7,7 +7,8 @@ built from it, Sylvester determinant, sign-product conjugation,
 single-level fast guilt, exact and uncached complex evaluation,
 division and Groebner reduction on immutable polynomials, the term
 order key that dispatched on each call, Buchberger on exponent tuples,
-the primitive PRS gcd that kept each remainder's rational scalar)
+the primitive PRS gcd that kept each remainder's rational scalar,
+hypothesis 2 on the common-zero ideal without the resultant gcd h)
 are second implementations that the tests compare the package against.
 """
 
@@ -25,11 +26,12 @@ from radsurj.arith import (
     _sub_monomial_multiple,
     _unit_normalize,
     exact_div,
+    poly_gcd,
     prem,
 )
-from radsurj.errors import DomainError, RadsurjError, StructuralError
-from radsurj.ideal import _Budget
-from radsurj.tower import RadicalTower, normal_form
+from radsurj.errors import DomainError, InputError, RadsurjError, ResourceError, StructuralError
+from radsurj.ideal import DEFAULT_STEP_BUDGET, _Budget, common_zeros
+from radsurj.tower import RadicalTower, normal_form, normalized_remainder
 
 T_ONLY = VarTable(("t",), (Role.PARAMETER,))
 TD1 = VarTable(("t", "d1"), (Role.PARAMETER, Role.RADICAL))
@@ -603,3 +605,34 @@ def fast_guilty_single(f: MultiPoly, tower: RadicalTower) -> bool:
             lead_pattern = lead_pattern + lc * delta**i
     test_poly = delta**e - MultiPoly.const(nf.table, a_k)
     return resultant(lead_pattern, test_poly, var).is_zero()
+
+
+def common_zero_ideal_ref(param, i: int) -> list[MultiPoly]:
+    """RadicalParametrization.common_zero_ideal before it carried h:
+    the tower polynomials, numerator and denominator of component i."""
+    comp = param.components[i - 1]
+    levels = [param.tower.level_poly(j) for j in range(param.tower.m)]
+    return levels + [comp.numerator, comp.denominator]
+
+
+def hypothesis2_ref(param, i: int, strategy: str = "auto", step_budget: int = DEFAULT_STEP_BUDGET):
+    """surjcheck.hypothesis2 before h: the exact route runs the basis on
+    common_zero_ideal_ref, and the gcd route, taken by gcd or by auto
+    after an exhausted budget, tests gcd(R(p), R(q)) = 1."""
+    if strategy not in ("exact", "gcd", "auto"):
+        raise InputError(f"unknown hypothesis-2 strategy {strategy!r}")
+    comp = param.components[i - 1]
+    if comp.denominator.is_const():
+        return True, "constant-denominator", None, None
+    if strategy in ("exact", "auto"):
+        try:
+            exact = common_zeros(common_zero_ideal_ref(param, i), step_budget)[0] == "empty"
+            return exact, "exact" if exact else None, exact, None
+        except ResourceError:
+            if strategy == "exact":
+                raise
+    rp = normalized_remainder(comp.numerator, param.tower)
+    rq = normalized_remainder(comp.denominator, param.tower)
+    g = poly_gcd(rp, rq)
+    unit = g.is_const() and not g.is_zero()
+    return unit, "gcd" if unit else None, None, unit

@@ -14,12 +14,13 @@ from radsurj.arith import (
     WeightVector,
     exact_div,
     leading_form,
+    poly_divmod,
     poly_gcd,
     prem,
     squarefree_part,
     weighted_degree,
 )
-from radsurj.errors import DomainError, StructuralError
+from radsurj.errors import DomainError, ResourceError, StructuralError
 
 from support import (
     TD1,
@@ -181,6 +182,39 @@ def test_exact_div_matches_immutable_reference():
         got = exact_div(f, g)
         assert got == want
         assert list(got.coeffs) == list(want.coeffs)
+
+
+def test_poly_divmod_matches_sympy_in_one_variable():
+    rng = Random(2610)
+    x = sym("t")
+    for _ in range(60):
+        f = random_poly(rng, T_ONLY, max_exp=9, max_terms=6)
+        g = random_nonzero_poly(rng, T_ONLY, max_exp=4, max_terms=3)
+        quot, rem = poly_divmod(f, g)
+        want_q, want_r = sympy.div(to_sympy(f), to_sympy(g), x)
+        assert to_sympy(quot) == want_q and to_sympy(rem) == want_r
+        assert len(quot.coeffs) <= max(0, f.degree(0) - g.degree(0) + 1)
+
+
+def test_poly_divmod_remainder_escapes_the_leading_monomial():
+    rng = Random(2611)
+    for _ in range(60):
+        f = random_poly(rng, TD12, max_exp=3, max_terms=5)
+        g = random_nonzero_poly(rng, TD12, max_exp=2, max_terms=3)
+        quot, rem = poly_divmod(f, g)
+        assert quot * g + rem == f
+        lead = g.leading_term()[0]
+        assert not any(all(map(int.__le__, lead, e)) for e in rem.coeffs)
+
+
+def test_poly_divmod_spends_one_step_per_quotient_term():
+    f, g = t**10 + 3, t**2 + 1  # five division steps, remainder 2
+    quot = t**8 - t**6 + t**4 - t**2 + 1
+    assert poly_divmod(f, g, step_budget=5) == (quot, MultiPoly.const(TD1, 2))
+    with pytest.raises(ResourceError):
+        poly_divmod(f, g, step_budget=4)
+    with pytest.raises(DomainError):
+        poly_divmod(f, MultiPoly.zero(TD1))
 
 
 # ----------------------------------------------------------------------

@@ -365,6 +365,24 @@ def test_gcd_route_on_a_radical_tower_finishes(tmp_path):
     )
 
 
+def test_resultant_gcd_is_bounded(tmp_path):
+    # R(p) = t^(2^32) has a t-degree past CAP, so h is skipped and the
+    # basis, whose packed keys cannot hold t^(2^31), runs out at once;
+    # R(p) mod (t^2 + 1) would take 2^31 division steps unbudgeted; run
+    # in a child process so a regression fails on the timeout
+    src = tmp_path / "huge_degree.rs"
+    src.write_text("tower { d^2 = t; } param { x = t^2147483648 / (t^2 + 1); y = d; }")
+    proc = subprocess.run(
+        [sys.executable, "-m", "radsurj.cli", "check", str(src), "--ideal", "exact", "--stable"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 3
+    notes = json.loads(proc.stdout)["surjectivity"]["notes"]
+    assert "component 1: hypothesis-2 step budget exhausted" in notes
+
+
 def test_stable_output_is_reproducible(capsys):
     _, first, _ = run(["check", str(DATA / "circle.rs"), "--stable"], capsys)
     _, second, _ = run(["check", str(DATA / "circle.rs"), "--stable"], capsys)

@@ -1,10 +1,18 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
+import sympy
 
+from radsurj import surjcheck
 from radsurj.arith import NEG_INF, MultiPoly, Role, VarTable
 from radsurj.errors import InputError, ResourceError
+from radsurj.ideal import TermOrder, _Budget, common_zeros
+from radsurj.parser import parse
 from radsurj.surjcheck import (
     check_surjective,
     default_coordinates,
@@ -12,9 +20,19 @@ from radsurj.surjcheck import (
     hypothesis2,
     normalize_param,
 )
-from radsurj.tower import RadicalLevel, RadicalTower
+from radsurj.tower import RadicalLevel, RadicalTower, normalized_remainder
 
-from support import TD1, TD12, random_reduced_poly, random_tower
+from support import (
+    TD1,
+    TD12,
+    common_zero_ideal_ref,
+    hypothesis2_ref,
+    random_poly_bounded,
+    random_reduced_poly,
+    random_tower,
+    reduce_full_ref,
+    to_sympy,
+)
 
 t = MultiPoly.var(TD1, "t")
 d1 = MultiPoly.var(TD1, "d1")
@@ -169,16 +187,63 @@ def test_hypothesis2_gcd_route_is_sufficient_only():
     assert not established and route is None and gcd is False and exact is None
 
 
-def test_hypothesis2_auto_degrades_to_gcd_on_budget():
+def common_zero_param():
+    # numerator d1 - 1 and denominator t - 1 meet at (t, d1) = (1, 1):
+    # h = t - 1 is no unit, and R(p) mod h takes one division step
+    return param_of(tower_sqrt_t(), [(d1 - 1, t - 1)])
+
+
+def test_unit_h_decides_exactly_within_one_step():
+    # h = gcd(t^2 + t + 2, (t - 1)^2 mod (t^2 + t + 2)) = 1 after one
+    # division step: the ideal is trivial without a basis run
     param = param_of(tower_sqrt_t(), [(t - 1, t**2 + t + 2)])
-    established, route, exact, gcd = hypothesis2(param, 1, strategy="auto", step_budget=1)
-    assert established and route == "gcd" and exact is None and gcd is True
+    for strategy in ("exact", "auto"):
+        assert hypothesis2(param, 1, strategy, step_budget=1) == (True, "exact", True, None)
+
+
+def test_hypothesis2_auto_degrades_to_gcd_on_budget(monkeypatch):
+    # the basis runs out after h's one division step, and auto reads
+    # the h it has; when the division itself runs out, auto builds h
+    # again without a budget; either way h = t - 1 is no unit
+    divisions = []
+    real = surjcheck.poly_divmod
+
+    def counted(*args):
+        divisions.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(surjcheck, "poly_divmod", counted)
+    for budget, calls in ((1, 1), (0, 2)):
+        divisions.clear()
+        established, route, exact, gcd = hypothesis2(common_zero_param(), 1, "auto", budget)
+        assert not established and route is None and exact is None and gcd is False
+        assert len(divisions) == calls
 
 
 def test_hypothesis2_exact_strategy_propagates_budget_error():
-    param = param_of(tower_sqrt_t(), [(t - 1, t**2 + t + 2)])
+    for budget in (0, 1):  # the division runs out, then the basis
+        with pytest.raises(ResourceError):
+            hypothesis2(common_zero_param(), 1, strategy="exact", step_budget=budget)
+    assert hypothesis2(common_zero_param(), 1, strategy="exact") == (False, None, False, None)
+
+
+def test_h_division_spends_the_step_budget():
+    # R(p) = t^10000 mod t^2 + 1 takes 5000 division steps
+    param = param_of(tower_sqrt_t(), [(t**5000, t**2 + 1)])
     with pytest.raises(ResourceError):
-        hypothesis2(param, 1, strategy="exact", step_budget=1)
+        hypothesis2(param, 1, strategy="exact", step_budget=4999)
+    assert hypothesis2(param, 1, strategy="exact", step_budget=5000) == (True, "exact", True, None)
+
+
+def test_zero_divisor_denominator_keeps_gcd_of_r_and_rp():
+    # d1 - t is a zero divisor modulo d1^2 = t^2, so r = R(q) = 0 and
+    # h = gcd(0, R(p)) = R(p) up to a constant, as the gcd route had it
+    tw = RadicalTower(TD1, [RadicalLevel("d1", 2, t**2)])
+    for p, unit in ((ONE + ONE, True), (t, False)):
+        param = param_of(tw, [(p, d1 - t)])
+        assert (param.common_zero_ideal(1)[0][-1] == 1) is unit
+        for strategy in ("exact", "gcd", "auto"):
+            assert hypothesis2(param, 1, strategy) == hypothesis2_ref(param, 1, strategy)
 
 
 def test_hypothesis2_zero_numerator_uses_denominator_only():
@@ -217,6 +282,121 @@ def test_hypothesis2_routes_agree_on_random_instances():
             assert est_exact or exact_res is None
         if exact_res is False:
             assert not est_gcd
+
+
+def _h_corpus():
+    """tests/data, bench/frozen without tall.rs, and 45 seeded one-
+    component instances over towers of height 1-3, alternating
+    denominators in t alone and denominators with radicals.  Cube
+    roots come at height 1 only and nested radicands at heights 1-2:
+    the reference basis without h runs past 20 s on some nested
+    height-3 towers."""
+    root = Path(__file__).resolve().parent
+    files = sorted(root.glob("data/*.rs")) + sorted(root.parent.glob("bench/frozen/*.rs"))
+    for path in files:
+        if path.name != "tall.rs":
+            yield parse(path.read_text())
+    rng = Random(20261019)
+    made = 0
+    while made < 45:
+        m = 1 + made % 3
+        tower = random_tower(rng, m, max_e=3 if m == 1 else 2, tdeg=2, nested=m < 3)
+        p = random_reduced_poly(rng, tower, tdeg=2, max_terms=3)
+        if made % 2:
+            q = random_poly_bounded(rng, tower.table, [3] * (1 + m), max_terms=3, only_vars={0})
+        else:
+            q = random_reduced_poly(rng, tower, tdeg=2, max_terms=3)
+        if rng.random() < 0.3:  # a shared factor puts a common zero over t = 1
+            shared = MultiPoly.var(tower.table, "t") - 1
+            p, q = p * shared, q * shared
+        try:
+            param = param_of(tower, [(p, q)])
+        except InputError:
+            continue
+        if not param.components[0].denominator.is_const():
+            made += 1
+            yield param
+
+
+def test_h_lies_in_the_common_zero_ideal_and_changes_no_answer():
+    # h joins the generators: same kind and reduced basis as without
+    # it, h reduces to zero modulo that basis (so a unit h soundly
+    # proves the ideal trivial), it is gcd(R(p), r) up to a constant,
+    # and hypothesis 2 answers as it did before h on every strategy
+    kinds, units, seen = set(), 0, 0
+    for param in _h_corpus():
+        order = TermOrder.grevlex(param.tower.table)
+        for i, comp in enumerate(param.components, start=1):
+            q = comp.denominator
+            if q.is_const():
+                continue
+            gens, _ = param.common_zero_ideal(i)
+            ref = common_zero_ideal_ref(param, i)
+            h = gens[-1]
+            assert gens[:-1] == ref
+            kind, basis = common_zeros(ref)
+            assert common_zeros(gens) == (kind, basis)
+            assert reduce_full_ref(h, basis, order, _Budget(10**6)).is_zero()
+            if seen % 5 == 0:
+                r = q if q.variables() <= {0} else normalized_remainder(q, param.tower)
+                want = sympy.gcd(to_sympy(normalized_remainder(comp.numerator, param.tower)), to_sympy(r))
+                assert sympy.cancel(to_sympy(h) / want).is_number
+            for strategy in ("gcd", "auto"):  # auto decides by the exact route here
+                assert hypothesis2(param, i, strategy) == hypothesis2_ref(param, i, strategy)
+            kinds.add(kind)
+            units += h == 1
+            seen += 1
+    assert seen >= 50 and units >= 5 and kinds == {"empty", "finite"}
+
+
+# check_017.rs and check_020.rs of the check_towers workload, seed 0:
+# grevlex bases on their common-zero ideals took 3 s and over 15 s
+CHECK_017 = """tower {
+  d1^3 = -2*t^4 + 2*t^3;
+  d2^2 = -4*t^4*d1^2 - 4*t^3*d1 - 2*t^2 + 2*d1^2;
+  d3^3 = t^2*d1*d2 + 3*t*d1*d2 - 4*d1^2*d2;
+}
+param {
+  x = -4*t^4*d1*d3^2 - 4*t^3*d1^2 + 3*t^2*d1*d2*d3;
+  y = (-2*t^4*d1^2*d2 - 3*t^3*d1^2*d3^2 - t^3*d1^2*d3 - d1^2*d3^2) / (-4*t^2 - 2);
+}
+"""
+CHECK_020 = """tower {
+  d1^2 = -3*t^3 - 4*t^2;
+  d2^3 = t^3 + 2*t^2*d1;
+  d3^3 = -2*t^2*d1*d2^2 + d2^2;
+}
+param {
+  x = (t^3*d2^2 + 3*d1*d2^2*d3^2 + 2*d3^2) / (-2*t^4 + 3);
+  y = 2*t^2*d2*d3^2 + 4*t*d1*d2^2 - 4*t*d1*d2*d3;
+}
+"""
+
+
+@pytest.mark.parametrize("source", [CHECK_017, CHECK_020], ids=["check_017", "check_020"])
+def test_unit_h_certifies_stalled_towers(source, tmp_path):
+    # run in a child process so a regression fails on the timeout
+    path = tmp_path / "tower.rs"
+    path.write_text(source)
+    proc = subprocess.run(
+        [sys.executable, "-m", "radsurj.cli", "check", str(path), "--stable"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)["surjectivity"]
+    assert doc["verdict"] == "CERTIFIED_SURJECTIVE"
+    routes = {c["hyp2_route"] for c in doc["components"]}
+    assert routes == {"exact", "constant-denominator"}
+
+
+def test_unit_h_needs_no_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a unit h must decide before any basis run")
+
+    monkeypatch.setattr("radsurj.ideal.buchberger", refuse)
+    assert hypothesis2(parse(CHECK_020), 1) == (True, "exact", True, None)
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +474,7 @@ def test_nested_tower_param_is_certified():
 
 
 def test_budget_exhaustion_is_reported_not_raised():
-    param = param_of(tower_sqrt_t(), [(t - 1, t**2 + t + 2)])
-    report = check_surjective(param, strategy="exact", step_budget=1)
+    report = check_surjective(common_zero_param(), strategy="exact", step_budget=1)
     assert not report.certified
     assert any("step budget exhausted" in n for n in report.notes)
 
