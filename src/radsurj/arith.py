@@ -25,6 +25,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DomainError, ResourceError, StructuralError
 
 NEG_INF = float("-inf")
+# largest degree a packed monomial key or a dense coefficient list may hold
+CAP = (1 << 31) - 1
 
 Exponent = tuple[int, ...]
 
@@ -260,10 +262,15 @@ class MultiPoly:
         return MultiPoly(self.table, out)
 
     def univariate_coeffs(self, var: int) -> list["MultiPoly"]:
-        """Dense coefficient list in var, ascending; [] for zero."""
+        """Dense coefficient list in var, ascending; [] for zero.
+
+        A degree past CAP raises ResourceError instead of allocating.
+        """
         d = self.degree(var)
         if d is NEG_INF:
             return []
+        if d > CAP:
+            raise ResourceError(f"degree {d} in {self.table.names[var]} too large for a dense list")
         return [self.coeff_poly(var, k) for k in range(int(d) + 1)]
 
     def derivative(self, var: int) -> "MultiPoly":

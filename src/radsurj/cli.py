@@ -74,12 +74,6 @@ def build_argparser() -> argparse.ArgumentParser:
         default=None,
         help="numerator screening: exact degree drop, or its syntactic over-approximation",
     )
-    check.add_argument(
-        "--ideal",
-        choices=["exact", "gcd", "auto"],
-        default=None,
-        help="how to decide triviality of the denominator ideal",
-    )
 
     missing = sub.add_parser("missing", help="candidate missing points and bounds")
     add_common(missing)
@@ -112,8 +106,8 @@ def build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
-def _settings(args: argparse.Namespace, settings: dict[str, str]) -> tuple[str, str, int | None]:
-    """Mode, ideal strategy and points for any command.
+def _settings(args: argparse.Namespace, settings: dict[str, str]) -> tuple[str, int | None]:
+    """Mode and points for any command.
 
     Flags win over the file's settings block, which wins over defaults.
     The whole block is checked, whichever command reads it, and so are
@@ -125,20 +119,17 @@ def _settings(args: argparse.Namespace, settings: dict[str, str]) -> tuple[str, 
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol must be finite and >= 0, got {tol}")
     for key in settings:
-        if key not in ("mode", "ideal", "points"):
+        if key not in ("mode", "points"):
             raise InputError(f"settings: unknown key {key!r}")
     mode = getattr(args, "mode", None) or settings.get("mode", "guilty")
-    ideal = getattr(args, "ideal", None) or settings.get("ideal", "auto")
     points = getattr(args, "points", None)
     if points is None:
         points = settings.get("points")
     if mode not in ("guilty", "suspicious"):
         raise InputError(f"settings: unknown mode {mode!r}")
-    if ideal not in ("exact", "gcd", "auto"):
-        raise InputError(f"settings: unknown ideal strategy {ideal!r}")
     if points is not None and not (str(points).isdigit() and int(points) > 0):
         raise InputError(f"points must be a positive integer, got {points!r}")
-    return mode, ideal, None if points is None else int(points)
+    return mode, None if points is None else int(points)
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -150,14 +141,14 @@ def _run(args: argparse.Namespace) -> int:
     param = src.param
     for note in src.notes:
         print(f"note: {note}", file=sys.stderr)
-    mode, ideal, points = _settings(args, src.settings)
+    mode, points = _settings(args, src.settings)
 
     started = time.perf_counter()
     doc = envelope(args.command, param)
     code = EXIT_OK
 
     if args.command == "check":
-        report = check_surjective(param, mode=mode, strategy=ideal, step_budget=args.budget)
+        report = check_surjective(param, mode=mode, step_budget=args.budget)
         doc["surjectivity"] = surjectivity_json(report, param)
         code = EXIT_OK if report.certified else EXIT_INCONCLUSIVE
     elif args.command == "missing":

@@ -25,11 +25,10 @@ from fractions import Fraction
 from operator import le, mul
 from typing import Callable, Sequence
 
-from .arith import Exponent, MultiPoly, VarTable
+from .arith import CAP, Exponent, MultiPoly, VarTable
 from .errors import DomainError, ResourceError, StructuralError
 
 DEFAULT_STEP_BUDGET = 10**6
-CAP = (1 << 31) - 1
 _FIELD = (1 << 32) - 1
 
 

@@ -93,7 +93,9 @@ def surjectivity_json(report: SurjectivityReport, param: RadicalParametrization)
             "hyp2_established": ev.hyp2_established,
             "hyp2_route": ev.hyp2_route,
             "hyp2_exact": ev.hyp2_exact,
-            "hyp2_gcd": ev.hyp2_gcd,
+            # schema v1 keeps this and "strategy" below from the retired
+            # gcd route, as the constants None and "auto"
+            "hyp2_gcd": None,
         }
         components.append(entry)
     return {
@@ -101,7 +103,7 @@ def surjectivity_json(report: SurjectivityReport, param: RadicalParametrization)
         "witness_index": report.witness_index,
         "certificate_path": report.certificate_path,
         "mode": report.mode,
-        "strategy": report.strategy,
+        "strategy": "auto",
         "components": components,
         "notes": list(report.notes),
     }

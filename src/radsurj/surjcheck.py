@@ -16,14 +16,12 @@ Hypothesis 2 first builds h = gcd(r, R(p) mod r) in Q[t], where r is
 the denominator q itself when q lies in Q[t] and its normalized
 remainder R(q) otherwise.  Resultants lie in the ideal of their
 arguments, so h lies in the ideal of tower, p and q: a unit h proves
-the ideal trivial at once.  A constant denominator is immediate; the
-exact route asks for the common zeros of the ideal with h, which a
-unit h answers "empty" before any Groebner basis, and otherwise runs
-the basis with h among the generators; the gcd route asks only
-whether h is a unit, which is sufficient, never necessary.  The
-default strategy runs the exact route under a step budget, which
-h's division steps spend too, and falls back to the gcd route on
-the same h when the budget runs out.
+the ideal trivial at once.  A constant denominator is immediate;
+otherwise the checker asks for the common zeros of the ideal with h,
+which a unit h answers "empty" before any Groebner basis, and which
+otherwise runs the basis with h among the generators.  One step
+budget covers h's division and the basis; when it runs out, the
+component stays undecided and the report says so.
 """
 
 from __future__ import annotations
@@ -32,9 +30,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import MultiPoly, poly_divmod, poly_gcd, weighted_degree
+from .arith import CAP, MultiPoly, poly_divmod, poly_gcd, weighted_degree
 from .errors import InputError, ResourceError
-from .ideal import CAP, DEFAULT_STEP_BUDGET, common_zeros
+from .ideal import DEFAULT_STEP_BUDGET, common_zeros
 from .tower import (
     GuiltReport,
     RadicalTower,
@@ -155,7 +153,6 @@ class ComponentEvidence:
     hyp2_established: bool = False
     hyp2_route: str | None = None
     hyp2_exact: bool | None = None
-    hyp2_gcd: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -165,7 +162,6 @@ class SurjectivityReport:
     certificate_path: str | None  # degree-and-ideal | polynomial-components | rational-witness | suspicion-screen
     components: tuple[ComponentEvidence, ...]
     mode: str
-    strategy: str
     notes: tuple[str, ...]
 
     @property
@@ -215,37 +211,25 @@ def hypothesis1(
 def hypothesis2(
     param: RadicalParametrization,
     i: int,
-    strategy: str = "auto",
     step_budget: int = DEFAULT_STEP_BUDGET,
     rp: MultiPoly | None = None,
-) -> tuple[bool, str | None, bool | None, bool | None]:
+) -> tuple[bool, str | None, bool | None, None]:
     """No-common-zero condition for component i (1-based).
 
-    Returns (established, route, exact_result, gcd_result).  Both
-    routes start from h (see RadicalParametrization.common_zero_ideal;
-    rp is R(p) when the caller has it).  The exact route is decisive
-    both ways: a unit h gives "empty" without a basis run, otherwise
-    the basis runs on the ideal with h, and h's division steps count
-    against step_budget.  The gcd route, "h is a unit", only ever
-    establishes; it runs without a budget, and after an exhausted
-    budget auto reuses h unless h's own division ran out.
+    Returns (established, route, exact_result, None); the last entry is
+    kept for callers that unpack the former gcd result.  A constant
+    denominator is established at once.  Otherwise the common zeros of
+    RadicalParametrization.common_zero_ideal (rp is R(p) when the
+    caller has it) decide both ways: a unit h gives "empty" without a
+    basis run, else the basis runs on the ideal with h.  h's division
+    steps and the basis share step_budget; past it ResourceError
+    propagates and the component is undecided.
     """
-    if strategy not in ("exact", "gcd", "auto"):
-        raise InputError(f"unknown hypothesis-2 strategy {strategy!r}")
     if param.components[i - 1].denominator.is_const():
         return True, "constant-denominator", None, None
-    gens = None
-    if strategy != "gcd":
-        try:
-            gens, steps = param.common_zero_ideal(i, rp, step_budget)
-            exact_result = common_zeros(gens, step_budget - steps)[0] == "empty"
-            return exact_result, "exact" if exact_result else None, exact_result, None
-        except ResourceError:
-            if strategy == "exact":
-                raise
-    h = (gens or param.common_zero_ideal(i, rp)[0])[-1]
-    gcd_result = h.is_const() and not h.is_zero()
-    return gcd_result, "gcd" if gcd_result else None, None, gcd_result
+    gens, steps = param.common_zero_ideal(i, rp, step_budget)
+    exact = common_zeros(gens, step_budget - steps)[0] == "empty"
+    return exact, "exact" if exact else None, exact, None
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +239,6 @@ def hypothesis2(
 def check_surjective(
     param: RadicalParametrization,
     mode: str = "guilty",
-    strategy: str = "auto",
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> SurjectivityReport:
     """Full certification pipeline; never claims non-surjectivity."""
@@ -265,25 +248,15 @@ def check_surjective(
     all_hyp2 = True
     for rec in records:
         try:
-            established, route, exact_res, gcd_res = hypothesis2(
-                param, rec.index, strategy, step_budget, rec.guilt.remainder if rec.guilt else None
+            established, route, exact_res, _ = hypothesis2(
+                param, rec.index, step_budget, rec.guilt.remainder if rec.guilt else None
             )
         except ResourceError:
-            established, route, exact_res, gcd_res = False, None, None, None
+            established, route, exact_res = False, None, None
             notes.append(f"component {rec.index}: hypothesis-2 step budget exhausted")
-        if exact_res is None and gcd_res is not None and not gcd_res:
-            notes.append(
-                f"component {rec.index}: gcd route inconclusive, hypothesis 2 undecided"
-            )
         all_hyp2 = all_hyp2 and established
         enriched.append(
-            replace(
-                rec,
-                hyp2_established=established,
-                hyp2_route=route,
-                hyp2_exact=exact_res,
-                hyp2_gcd=gcd_res,
-            )
+            replace(rec, hyp2_established=established, hyp2_route=route, hyp2_exact=exact_res)
         )
     if witness is None:
         if not any(r.degree_condition for r in records):
@@ -291,18 +264,16 @@ def check_surjective(
         else:
             label = "suspicious" if mode == "suspicious" else "guilty"
             notes.append(f"every degree-condition component is {label}")
-        return SurjectivityReport(
-            "INCONCLUSIVE", None, None, tuple(enriched), mode, strategy, tuple(notes)
-        )
+        return SurjectivityReport("INCONCLUSIVE", None, None, tuple(enriched), mode, tuple(notes))
     if not all_hyp2:
         failing = [str(r.index) for r in enriched if not r.hyp2_established]
         notes.append("hypothesis 2 not established for component(s) " + ", ".join(failing))
         return SurjectivityReport(
-            "INCONCLUSIVE", witness, None, tuple(enriched), mode, strategy, tuple(notes)
+            "INCONCLUSIVE", witness, None, tuple(enriched), mode, tuple(notes)
         )
     path = _certificate_path(param, witness, mode)
     return SurjectivityReport(
-        "CERTIFIED_SURJECTIVE", witness, path, tuple(enriched), mode, strategy, tuple(notes)
+        "CERTIFIED_SURJECTIVE", witness, path, tuple(enriched), mode, tuple(notes)
     )
 
 

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, JSON shape, golden files."""
 
+import argparse
 import json
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -271,8 +273,9 @@ def test_unknown_setting_value_exits_two(tmp_path, capsys):
         ("", ["--points", "0"]),
         ("", ["--points", "-3"]),
         ("mdoe = suspicious;", []),
+        ("ideal = auto;", []),
     ],
-    ids=["points-word", "points-zero", "flag-zero", "flag-negative", "unknown-key"],
+    ids=["points-word", "points-zero", "flag-zero", "flag-negative", "unknown-key", "ideal-key"],
 )
 def test_bad_settings_exit_two(settings, flags, tmp_path, capsys):
     src = tmp_path / "bad_settings.rs"
@@ -348,7 +351,7 @@ def test_gcd_route_on_a_radical_tower_finishes(tmp_path):
         "settings { mode = suspicious; }\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "radsurj.cli", "check", str(src), "--ideal", "gcd", "--stable"],
+        [sys.executable, "-m", "radsurj.cli", "check", str(src), "--stable"],
         capture_output=True,
         text=True,
         timeout=20,
@@ -357,12 +360,10 @@ def test_gcd_route_on_a_radical_tower_finishes(tmp_path):
     doc = json.loads(proc.stdout)
     validate(doc)
     first = doc["surjectivity"]["components"][0]
-    # R(q) = 64*t^24 and t^6 divides R(p): the gcd is t^6, so the route cannot decide
+    # q = -2*t^4 and t^6 divides R(p): h = t^4 is no unit, and the
+    # common zero at t = 0 fails hypothesis 2
     assert first["remainder"].endswith("- 39*t^8 + t^6")
-    assert first["hyp2_gcd"] is False
-    assert doc["surjectivity"]["notes"][0] == (
-        "component 1: gcd route inconclusive, hypothesis 2 undecided"
-    )
+    assert first["hyp2_exact"] is False
 
 
 def test_resultant_gcd_is_bounded(tmp_path):
@@ -373,7 +374,7 @@ def test_resultant_gcd_is_bounded(tmp_path):
     src = tmp_path / "huge_degree.rs"
     src.write_text("tower { d^2 = t; } param { x = t^2147483648 / (t^2 + 1); y = d; }")
     proc = subprocess.run(
-        [sys.executable, "-m", "radsurj.cli", "check", str(src), "--ideal", "exact", "--stable"],
+        [sys.executable, "-m", "radsurj.cli", "check", str(src), "--stable"],
         capture_output=True,
         text=True,
         timeout=20,
@@ -381,6 +382,56 @@ def test_resultant_gcd_is_bounded(tmp_path):
     assert proc.returncode == 3
     notes = json.loads(proc.stdout)["surjectivity"]["notes"]
     assert "component 1: hypothesis-2 step budget exhausted" in notes
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command", ["missing", "sample"])
+def test_dense_coefficients_past_cap_exit_four(command, tmp_path):
+    # content_wrt asked for the dense coefficient list of R(p) =
+    # t^(2^32), which ended in a MemoryError traceback; the child's
+    # address space is capped at 2 GiB so a regression cannot take
+    # the host's memory, and the timeout catches a slow one
+    src = tmp_path / "huge_degree.rs"
+    src.write_text("tower { d^2 = t; } param { x = t^2147483648 / (t^2 + 1); y = d; }")
+    proc = subprocess.run(
+        [sys.executable, "-m", "radsurj.cli", command, str(src), "--stable"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_ideal_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", str(DATA / "circle.rs"), "--ideal", "exact"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ideal exact" in capsys.readouterr().err
+
+
+def test_readme_synopsis_matches_argparser():
+    # each synopsis line lists its command's own flags, and the
+    # paragraph after it the flags that every command takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    _, synopsis, after = readme.split("## Command line", 1)[1].split("```", 2)
+    documented = {
+        line.split()[1]: set(re.findall(r"--[a-z]+", line))
+        for line in synopsis.strip().splitlines()
+    }
+    parser = cli.build_argparser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actual = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    common = set.intersection(*actual.values())
+    assert common == set(re.findall(r"`(--[a-z]+)", after.strip().split("\n\n")[0]))
+    assert documented == {name: flags - common for name, flags in actual.items()}
 
 
 def test_stable_output_is_reproducible(capsys):

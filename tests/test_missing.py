@@ -265,6 +265,9 @@ def _agreement_params():
     for path in files:
         if path.name != "tall.rs":
             yield parse(path.read_text())
+    # h = 1 after one division step, which budget 0 does not cover
+    sqrt_t = RadicalTower(TD1, [RadicalLevel("d1", 2, t)])
+    yield normalize_param(sqrt_t, [(t - 1, t**2 + t + 2)])[0]
     rng = Random(31)
     for _ in range(24):
         tower = random_tower(rng, rng.randint(1, 2), max_e=2, tdeg=2)
@@ -279,20 +282,22 @@ def _agreement_params():
 
 
 def test_hypothesis2_exact_agrees_with_condition2_locus():
-    # one ideal, one query: wherever neither side runs out of budget,
-    # hypothesis 2 holds exactly when the condition-2 locus is empty
+    # one ideal, one query, one budget: hypothesis 2 runs out of budget
+    # exactly where the condition-2 locus is "unknown", and otherwise
+    # holds exactly when the locus is empty
     answers = []
     for param in _agreement_params():
         for i in range(1, param.n + 1):
             for budget in (0, 1, 3, DEFAULT_STEP_BUDGET):
                 locus = condition2_locus(param, i, budget)
                 try:
-                    established = hypothesis2(param, i, "exact", budget)[0]
+                    established = hypothesis2(param, i, budget)[0]
                 except ResourceError:
+                    assert locus.classification == "unknown"
                     continue
-                if locus.classification != "unknown":
-                    assert established == (locus.classification == "empty")
-                    answers.append(established)
+                assert locus.classification != "unknown"
+                assert established == (locus.classification == "empty")
+                answers.append(established)
     assert len(answers) >= 100 and set(answers) == {True, False}
 
 

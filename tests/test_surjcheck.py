@@ -169,22 +169,12 @@ def test_hypothesis2_constant_denominator_shortcut():
 def test_hypothesis2_exact_route_decides_both_ways():
     tw = tower_sqrt_t()
     good = param_of(tw, [(t - 1, t + 1)])
-    established, route, exact, _ = hypothesis2(good, 1, strategy="exact")
+    established, route, exact, _ = hypothesis2(good, 1)
     assert established and route == "exact" and exact is True
     # t = 1, d1 = 1 is a common zero of numerator and denominator here
     bad = param_of(tw, [(t - 1, d1 - 1)])
-    established, route, exact, _ = hypothesis2(bad, 1, strategy="exact")
+    established, route, exact, _ = hypothesis2(bad, 1)
     assert not established and route is None and exact is False
-
-
-def test_hypothesis2_gcd_route_is_sufficient_only():
-    tw = tower_sqrt_t()
-    good = param_of(tw, [(t - 1, t + 1)])
-    established, route, exact, gcd = hypothesis2(good, 1, strategy="gcd")
-    assert established and route == "gcd" and gcd is True and exact is None
-    bad = param_of(tw, [(t - 1, d1 - 1)])
-    established, route, exact, gcd = hypothesis2(bad, 1, strategy="gcd")
-    assert not established and route is None and gcd is False and exact is None
 
 
 def common_zero_param():
@@ -197,14 +187,12 @@ def test_unit_h_decides_exactly_within_one_step():
     # h = gcd(t^2 + t + 2, (t - 1)^2 mod (t^2 + t + 2)) = 1 after one
     # division step: the ideal is trivial without a basis run
     param = param_of(tower_sqrt_t(), [(t - 1, t**2 + t + 2)])
-    for strategy in ("exact", "auto"):
-        assert hypothesis2(param, 1, strategy, step_budget=1) == (True, "exact", True, None)
+    assert hypothesis2(param, 1, step_budget=1) == (True, "exact", True, None)
 
 
-def test_hypothesis2_auto_degrades_to_gcd_on_budget(monkeypatch):
-    # the basis runs out after h's one division step, and auto reads
-    # the h it has; when the division itself runs out, auto builds h
-    # again without a budget; either way h = t - 1 is no unit
+def test_exhausted_budget_builds_h_once_and_raises(monkeypatch):
+    # the division runs out at budget 0 and the basis after h's one
+    # division step at budget 1; neither builds h a second time
     divisions = []
     real = surjcheck.poly_divmod
 
@@ -213,37 +201,37 @@ def test_hypothesis2_auto_degrades_to_gcd_on_budget(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(surjcheck, "poly_divmod", counted)
-    for budget, calls in ((1, 1), (0, 2)):
+    for budget in (0, 1):
         divisions.clear()
-        established, route, exact, gcd = hypothesis2(common_zero_param(), 1, "auto", budget)
-        assert not established and route is None and exact is None and gcd is False
-        assert len(divisions) == calls
+        with pytest.raises(ResourceError):
+            hypothesis2(common_zero_param(), 1, budget)
+        assert len(divisions) == 1
 
 
 def test_hypothesis2_exact_strategy_propagates_budget_error():
     for budget in (0, 1):  # the division runs out, then the basis
         with pytest.raises(ResourceError):
-            hypothesis2(common_zero_param(), 1, strategy="exact", step_budget=budget)
-    assert hypothesis2(common_zero_param(), 1, strategy="exact") == (False, None, False, None)
+            hypothesis2(common_zero_param(), 1, step_budget=budget)
+    assert hypothesis2(common_zero_param(), 1) == (False, None, False, None)
 
 
 def test_h_division_spends_the_step_budget():
     # R(p) = t^10000 mod t^2 + 1 takes 5000 division steps
     param = param_of(tower_sqrt_t(), [(t**5000, t**2 + 1)])
     with pytest.raises(ResourceError):
-        hypothesis2(param, 1, strategy="exact", step_budget=4999)
-    assert hypothesis2(param, 1, strategy="exact", step_budget=5000) == (True, "exact", True, None)
+        hypothesis2(param, 1, step_budget=4999)
+    assert hypothesis2(param, 1, step_budget=5000) == (True, "exact", True, None)
 
 
 def test_zero_divisor_denominator_keeps_gcd_of_r_and_rp():
     # d1 - t is a zero divisor modulo d1^2 = t^2, so r = R(q) = 0 and
-    # h = gcd(0, R(p)) = R(p) up to a constant, as the gcd route had it
+    # h = gcd(0, R(p)) = R(p) up to a constant
     tw = RadicalTower(TD1, [RadicalLevel("d1", 2, t**2)])
     for p, unit in ((ONE + ONE, True), (t, False)):
         param = param_of(tw, [(p, d1 - t)])
         assert (param.common_zero_ideal(1)[0][-1] == 1) is unit
-        for strategy in ("exact", "gcd", "auto"):
-            assert hypothesis2(param, 1, strategy) == hypothesis2_ref(param, 1, strategy)
+        for strategy in ("exact", "auto"):
+            assert hypothesis2(param, 1) == hypothesis2_ref(param, 1, strategy)
 
 
 def test_hypothesis2_zero_numerator_uses_denominator_only():
@@ -254,15 +242,10 @@ def test_hypothesis2_zero_numerator_uses_denominator_only():
     zero = MultiPoly.zero(TD1)
     for q in (d1, t - 1):
         param = param_of(tw, [(zero, q)])
-        established, route, exact, _ = hypothesis2(param, 1, strategy="exact")
+        established, route, exact, _ = hypothesis2(param, 1)
         assert not established and route is None and exact is False
     established, route, _, _ = hypothesis2(param_of(tw, [(zero, ONE + ONE)]), 1)
     assert established and route == "constant-denominator"
-
-
-def test_hypothesis2_rejects_unknown_strategy():
-    with pytest.raises(InputError):
-        hypothesis2(circle_param(), 1, strategy="fast")
 
 
 def test_hypothesis2_routes_agree_on_random_instances():
@@ -275,11 +258,11 @@ def test_hypothesis2_routes_agree_on_random_instances():
             param = param_of(tower, [(p, q)])
         except InputError:
             continue
-        est_gcd, _, _, gcd_res = hypothesis2(param, 1, strategy="gcd")
-        est_exact, _, exact_res, _ = hypothesis2(param, 1, strategy="exact")
+        est_gcd, _, _, gcd_res = hypothesis2_ref(param, 1, "gcd")
+        est_exact, _, exact_res, _ = hypothesis2(param, 1)
         if gcd_res is True:
-            # the gcd certificate must never contradict the exact decision
-            assert est_exact or exact_res is None
+            # a gcd certificate implies that the exact decision establishes
+            assert est_exact
         if exact_res is False:
             assert not est_gcd
 
@@ -322,7 +305,7 @@ def test_h_lies_in_the_common_zero_ideal_and_changes_no_answer():
     # h joins the generators: same kind and reduced basis as without
     # it, h reduces to zero modulo that basis (so a unit h soundly
     # proves the ideal trivial), it is gcd(R(p), r) up to a constant,
-    # and hypothesis 2 answers as it did before h on every strategy
+    # and hypothesis 2 answers as the exact and auto strategies did before h
     kinds, units, seen = set(), 0, 0
     for param in _h_corpus():
         order = TermOrder.grevlex(param.tower.table)
@@ -341,8 +324,8 @@ def test_h_lies_in_the_common_zero_ideal_and_changes_no_answer():
                 r = q if q.variables() <= {0} else normalized_remainder(q, param.tower)
                 want = sympy.gcd(to_sympy(normalized_remainder(comp.numerator, param.tower)), to_sympy(r))
                 assert sympy.cancel(to_sympy(h) / want).is_number
-            for strategy in ("gcd", "auto"):  # auto decides by the exact route here
-                assert hypothesis2(param, i, strategy) == hypothesis2_ref(param, i, strategy)
+            for strategy in ("exact", "auto"):  # auto decides by the exact route here
+                assert hypothesis2(param, i) == hypothesis2_ref(param, i, strategy)
             kinds.add(kind)
             units += h == 1
             seen += 1
@@ -474,7 +457,7 @@ def test_nested_tower_param_is_certified():
 
 
 def test_budget_exhaustion_is_reported_not_raised():
-    report = check_surjective(common_zero_param(), strategy="exact", step_budget=1)
+    report = check_surjective(common_zero_param(), step_budget=1)
     assert not report.certified
     assert any("step budget exhausted" in n for n in report.notes)
 
