@@ -11,6 +11,15 @@ coefficients is graded lexicographic: total degree first, then the
 exponent tuple compared left to right.  Degrees of the zero polynomial
 are the float -inf sentinel, which compares correctly against both ints
 and Fractions.
+
+Products run on a private integer kernel (Monagan and Pearce, CASC
+2007): the operands are packed once, each exponent tuple into one int
+whose fields are wide enough that adding keys adds exponents, and each
+coefficient into an integer numerator over one common denominator.  The
+kernel multiplies and accumulates on those int maps and converts back
+to Fractions only at the end, keeping the key order of the loop on
+exponent tuples.  tower.tower_norm runs its whole determinant expansion
+on the same packed form.
 """
 
 from __future__ import annotations
@@ -215,16 +224,8 @@ class MultiPoly:
                 return MultiPoly.zero(self.table)
             return self._raw(self.table, {e: c * v for e, v in self.coeffs.items()})
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(expo, 0) + c1 * c2
-                if acc:
-                    out[expo] = acc
-                elif expo in out:
-                    del out[expo]
-        return self._raw(self.table, out)
+        (a, b), denom, width = _pack((self, other), 2)
+        return _unpack(self.table, _mul_packed(a, b), denom * denom, width)
 
     __rmul__ = __mul__
 
@@ -254,12 +255,12 @@ class MultiPoly:
 
     def coeff_poly(self, var: int, k: int) -> "MultiPoly":
         """Coefficient of var**k, as a polynomial with var zeroed out."""
-        out: dict[Exponent, Fraction] = {}
-        for expo, c in self.coeffs.items():
-            if expo[var] == k:
-                reduced = expo[:var] + (0,) + expo[var + 1:]
-                out[reduced] = out.get(reduced, Fraction(0)) + c
-        return MultiPoly(self.table, out)
+        out = {
+            expo[:var] + (0,) + expo[var + 1:]: c
+            for expo, c in self.coeffs.items()
+            if expo[var] == k
+        }
+        return self._raw(self.table, out)
 
     def univariate_coeffs(self, var: int) -> list["MultiPoly"]:
         """Dense coefficient list in var, ascending; [] for zero.
@@ -274,13 +275,12 @@ class MultiPoly:
         return [self.coeff_poly(var, k) for k in range(int(d) + 1)]
 
     def derivative(self, var: int) -> "MultiPoly":
-        out: dict[Exponent, Fraction] = {}
-        for expo, c in self.coeffs.items():
-            k = expo[var]
-            if k:
-                reduced = expo[:var] + (k - 1,) + expo[var + 1:]
-                out[reduced] = out.get(reduced, Fraction(0)) + c * k
-        return MultiPoly(self.table, out)
+        out = {
+            expo[:var] + (expo[var] - 1,) + expo[var + 1:]: c * expo[var]
+            for expo, c in self.coeffs.items()
+            if expo[var]
+        }
+        return self._raw(self.table, out)
 
     # ------------------------------------------------------------------
     # table transport and evaluation
@@ -296,8 +296,8 @@ class MultiPoly:
             for i, k in enumerate(expo):
                 if k:
                     new_expo[mapping[i]] = k
-            out[tuple(new_expo)] = out.get(tuple(new_expo), Fraction(0)) + c
-        return MultiPoly(new_table, out)
+            out[tuple(new_expo)] = c
+        return MultiPoly._raw(new_table, out)
 
     def complex_terms(self) -> tuple[tuple[complex, tuple[tuple[int, int], ...]], ...]:
         """(complex(c), ((var, k), ...)) per term, nonzero exponents only.
@@ -373,6 +373,81 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+# ----------------------------------------------------------------------
+# integer kernel: packed exponents, integer numerators over one denominator
+
+Packed = dict[int, int]  # packed exponent -> numerator
+
+
+def _pack(polys: Sequence[MultiPoly], reach: int) -> tuple[list[Packed], int, int]:
+    """Integer form of polys for products of up to reach factors among them.
+
+    Returns (terms, D, width).  terms[i] maps every exponent tuple e of
+    polys[i], packed as the sum of e[v] << (v * width), to its
+    coefficient times D, the lcm of all denominators.  Each field holds
+    the largest exponent a product of reach factors can reach, so
+    adding keys adds exponents and no field carries into the next.
+    """
+    top, denom = 0, 1
+    for f in polys:
+        for e in f.coeffs:
+            m = max(e) if e else 0
+            if m > top:
+                top = m
+        for c in f.coeffs.values():
+            if c.denominator != 1:
+                denom = math.lcm(denom, c.denominator)
+    width = (reach * top).bit_length() or 1
+    terms = []
+    for f in polys:
+        packed: Packed = {}
+        for e, c in f.coeffs.items():
+            k = 0
+            for x in reversed(e):
+                k = (k << width) | x
+            packed[k] = c.numerator * (denom // c.denominator)
+        terms.append(packed)
+    return terms, denom, width
+
+
+def _unpack(table: VarTable, terms: Packed, denom: int, width: int) -> MultiPoly:
+    """The polynomial with coefficient terms[k] / denom at each key k, in key order."""
+    shifts = range(0, width * table.arity, width)
+    mask = (1 << width) - 1
+    out: dict[Exponent, Fraction] = {}
+    for k, n in terms.items():
+        c = Fraction(n) if denom == 1 else Fraction(n, denom)
+        out[tuple([(k >> s) & mask for s in shifts])] = c
+    return MultiPoly._raw(table, out)
+
+
+def _mul_packed(a: Packed, b: Packed) -> Packed:
+    """Product of packed maps: a outer, b inner, a key deleted when its
+    sum reaches zero, so keys come in the order of the tuple loop."""
+    out: Packed = {}
+    get = out.get
+    for k1, n1 in a.items():
+        for k2, n2 in b.items():
+            k = k1 + k2
+            v = get(k, 0) + n1 * n2
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out
+
+
+def _iadd_packed(acc: Packed, b: Packed) -> None:
+    """acc += b in place, with the key order of the polynomial sum."""
+    get = acc.get
+    for k, n in b.items():
+        v = get(k, 0) + n
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
 
 
 # ----------------------------------------------------------------------

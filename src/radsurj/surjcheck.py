@@ -90,8 +90,31 @@ class RadicalParametrization:
             if r:
                 quot, rp = poly_divmod(rp, r, step_budget)
                 steps = len(quot.coeffs)
-            h = poly_gcd(r, rp)
+            # gcd(r, s) = gcd(s, r mod s); the PRS of the right side
+            # starts below deg s, however high r's degree
+            h = poly_gcd(rp, _rem_by_powers(r, rp)) if r and rp else poly_gcd(r, rp)
         return levels + [p, q, h], steps
+
+
+def _rem_by_powers(r: MultiPoly, s: MultiPoly) -> MultiPoly:
+    """r mod s in Q[t] as the sum of c_k (t^k mod s) over r's terms.
+
+    Each t^k mod s is a product of the squares t^(2^i) mod s, so a
+    sparse r of degree n costs O(log n) divisions per term, where
+    dividing r by s directly would take n steps.
+    """
+    one = poly_divmod(MultiPoly.one(r.table), s)[1]  # 0 for a constant s
+    squares = [poly_divmod(MultiPoly.var(r.table, r.table.names[0]), s)[1]]
+    while 1 << len(squares) <= r.degree(0):
+        squares.append(poly_divmod(squares[-1] * squares[-1], s)[1])
+    out = MultiPoly.zero(r.table)
+    for expo, c in r.coeffs.items():
+        power = one
+        for i, square in enumerate(squares):
+            if expo[0] >> i & 1:
+                power = poly_divmod(power * square, s)[1]
+        out = out + power * c
+    return out
 
 
 def default_coordinates(n: int) -> tuple[str, ...]:

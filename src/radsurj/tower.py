@@ -30,9 +30,14 @@ from typing import Sequence
 
 from .arith import (
     MultiPoly,
+    Packed,
     Role,
     VarTable,
     WeightVector,
+    _iadd_packed,
+    _mul_packed,
+    _pack,
+    _unpack,
     leading_form,
     weighted_degree,
 )
@@ -198,11 +203,14 @@ def tower_norm(f: MultiPoly, level: RadicalLevel) -> MultiPoly:
 
     The tower polynomial is monic in Delta, so the resultant is the norm
     of f, the product of f(alpha) over the roots alpha: the determinant
-    of multiplication by f = sum c_k Delta^k on the basis 1, Delta, ...,
-    Delta^(e-1).  Its entry in row r, column j is c_(r-j) for r >= j and
-    g*c_(r-j+e) for r < j.  The determinant is expanded column by column
-    over row subsets, minors[rows] being the minor on those rows and the
-    first |rows| columns: e*2^(e-1) products and no division.
+    of the matrix M of multiplication by f = sum c_k Delta^k on the
+    basis 1, Delta, ..., Delta^(e-1).  Its entry in row r, column j is
+    c_(r-j) for r >= j and g*c_(r-j+e) for r < j.  The entries are
+    packed once as integer polynomials over one denominator D, so
+    M = N / D and det M = det N / D^e.  det N is expanded column by
+    column over row subsets, minors[rows] being the minor on those rows
+    and the first |rows| columns: e*2^(e-1) integer products and no
+    division.
     """
     var = f.table.index(level.name)
     e = level.exponent
@@ -213,22 +221,27 @@ def tower_norm(f: MultiPoly, level: RadicalLevel) -> MultiPoly:
     zero = MultiPoly.zero(f.table)
     c += [zero] * (e - len(c))
     gc = [zero] + [zero if ck.is_zero() else g * ck for ck in c[1:]]
-    minors = {0: MultiPoly.one(f.table)}
-    for j in range(e):
-        wider: dict[int, MultiPoly] = {}
+    entries, denom, width = _pack(c + gc, e)
+    c, gc = entries[:e], entries[e:]
+    minors = {1 << r: cr for r, cr in enumerate(c) if cr}  # column 0's 1x1 minors
+    for j in range(1, e):
+        wider: dict[int, Packed] = {}
         for rows, minor in minors.items():
             for r in range(e):
                 bit = 1 << r
                 entry = c[r - j] if r >= j else gc[r - j + e]
-                if rows & bit or entry.is_zero():
+                if rows & bit or not entry:
                     continue
-                term = entry * minor
+                term = _mul_packed(entry, minor)
                 if (rows >> r).bit_count() % 2:  # rows below r in the minor
-                    term = -term
+                    term = {k: -v for k, v in term.items()}
                 key = rows | bit
-                wider[key] = wider[key] + term if key in wider else term
-        minors = {rows: m for rows, m in wider.items() if not m.is_zero()}
-    return minors.get((1 << e) - 1, zero)
+                if key in wider:
+                    _iadd_packed(wider[key], term)
+                else:
+                    wider[key] = term
+        minors = {rows: m for rows, m in wider.items() if m}
+    return _unpack(f.table, minors.get((1 << e) - 1, {}), denom**e, width)
 
 
 def remainder_trace(f: MultiPoly, tower: RadicalTower) -> list[MultiPoly]:

@@ -3,13 +3,15 @@
 sympy is used here as an independent desk calculator to cross-check
 exact results; the package itself never imports it.  The reference
 oracles at the end (subresultant resultant and the resultant chain
-built from it, Sylvester determinant, sign-product conjugation,
-single-level fast guilt, exact and uncached complex evaluation,
-division and Groebner reduction on immutable polynomials, the term
-order key that dispatched on each call, Buchberger on exponent tuples,
-the primitive PRS gcd that kept each remainder's rational scalar,
-hypothesis 2 on the common-zero ideal without the resultant gcd h)
-are second implementations that the tests compare the package against.
+built from it, Sylvester determinant, sign-product conjugation, the
+product on exponent tuples and Fractions, the tower norm expanded on
+Fraction polynomials, single-level fast guilt, exact and uncached
+complex evaluation, division and Groebner reduction on immutable
+polynomials, the term order key that dispatched on each call,
+Buchberger on exponent tuples, the primitive PRS gcd that kept each
+remainder's rational scalar, hypothesis 2 on the common-zero ideal
+without the resultant gcd h) are second implementations that the
+tests compare the package against.
 """
 
 import heapq
@@ -218,6 +220,53 @@ def complex_eval_corpus(rng: Random) -> list[tuple[MultiPoly, list[tuple[complex
         )
 
     return [(p, [point(p.table.arity) for _ in range(3)]) for p in polys]
+
+
+def mul_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """MultiPoly.__mul__ on exponent tuples and Fractions, the loop the
+    package ran before its packed integer kernel: f outer, g inner, a
+    key deleted when its sum reaches zero."""
+    f._check(g)
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            acc = out.get(expo, 0) + c1 * c2
+            if acc:
+                out[expo] = acc
+            elif expo in out:
+                del out[expo]
+    return MultiPoly._raw(f.table, out)
+
+
+def tower_norm_ref(f: MultiPoly, level) -> MultiPoly:
+    """tower.tower_norm expanded on Fraction polynomials with mul_ref,
+    as the package did before it packed the matrix entries as integers."""
+    var = f.table.index(level.name)
+    e = level.exponent
+    c = f.univariate_coeffs(var)
+    if len(c) > e:
+        raise DomainError(f"norm needs a polynomial reduced below {level.name}^{e}")
+    g = level.radicand if f.table == level.radicand.table else level.radicand.transport(f.table)
+    zero = MultiPoly.zero(f.table)
+    c += [zero] * (e - len(c))
+    gc = [zero] + [zero if ck.is_zero() else mul_ref(g, ck) for ck in c[1:]]
+    minors = {0: MultiPoly.one(f.table)}
+    for j in range(e):
+        wider = {}
+        for rows, minor in minors.items():
+            for r in range(e):
+                bit = 1 << r
+                entry = c[r - j] if r >= j else gc[r - j + e]
+                if rows & bit or entry.is_zero():
+                    continue
+                term = mul_ref(entry, minor)
+                if (rows >> r).bit_count() % 2:
+                    term = -term
+                key = rows | bit
+                wider[key] = wider[key] + term if key in wider else term
+        minors = {rows: m for rows, m in wider.items() if not m.is_zero()}
+    return minors.get((1 << e) - 1, zero)
 
 
 def exact_div_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:

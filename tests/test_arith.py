@@ -29,6 +29,7 @@ from support import (
     complex_eval_corpus,
     eval_complex_ref,
     exact_div_ref,
+    mul_ref,
     poly_gcd_ref,
     random_nonzero_poly,
     random_poly,
@@ -100,6 +101,57 @@ def test_pow_matches_repeated_multiplication(f, k):
     for _ in range(k):
         expected = expected * f
     assert f**k == expected
+
+
+WIDE = VarTable(
+    ("t", "d1", "d2", "x", "z"),
+    (Role.PARAMETER, Role.RADICAL, Role.RADICAL, Role.COORDINATE, Role.INVERSE),
+)
+
+
+def _product_corpus(rng):
+    """Operand pairs: mixed denominators and signs, zero and constant
+    operands, polynomials in the inert variables x and z only, squares,
+    and exponents past 2^31."""
+
+    def rand(max_exp=3, max_terms=8, only_vars=None):
+        f = random_poly(rng, WIDE, max_exp, max_terms, coeff_bound=9, only_vars=only_vars)
+        return MultiPoly(WIDE, {e: c / rng.choice((1, 1, 2, 3, 12)) for e, c in f.coeffs.items()})
+
+    def huge():
+        return MultiPoly(WIDE, {
+            tuple(rng.choice((0, 1, 2**31 - 1, 2**31, 2**40, rng.randrange(2**45))) for _ in range(5)):
+            Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            for _ in range(rng.randint(1, 4))
+        })
+
+    zero, const = MultiPoly.zero(WIDE), MultiPoly.const(WIDE, Fraction(-7, 3))
+    pairs = []
+    for _ in range(120):
+        f, g = rand(rng.randint(0, 6), rng.randint(1, 12)), rand(rng.randint(0, 6), rng.randint(1, 12))
+        pairs += [(f, g), (f, f), (f, zero), (zero, g), (const, g), (f, const)]
+        pairs.append((rand(only_vars={3, 4}), rand(only_vars={0, 1, 2})))
+        pairs.append((huge(), huge()))
+    return pairs
+
+
+def test_product_matches_tuple_loop_reference():
+    for f, g in _product_corpus(Random(131)):
+        got, want = f * g, mul_ref(f, g)
+        assert got == want
+        # eval_complex sums floats in key order, so the order must match too
+        assert list(got.coeffs) == list(want.coeffs)
+
+
+def test_product_key_order_and_wide_exponents_pinned():
+    x = MultiPoly.var(T_ONLY, "t")
+    f = MultiPoly(T_ONLY, {(0,): 1, (1,): 1, (2,): 1})
+    g = MultiPoly(T_ONLY, {(0,): 1, (1,): -1, (2,): 1, (5,): 1})
+    # t^2 and t^3 cancel in f's second row, then t^2 comes back after t^6
+    assert list((f * g).coeffs) == [(0,), (5,), (6,), (2,), (4,), (7,)]
+    big = MultiPoly.monomial(T_ONLY, (2**40,), Fraction(3, 2))
+    assert (big * big).coeffs == {(2**41,): Fraction(9, 4)}
+    assert (big * (x + 1)).coeffs == {(2**40 + 1,): Fraction(3, 2), (2**40,): Fraction(3, 2)}
 
 
 def test_degree_and_leading_term():

@@ -9,11 +9,12 @@ import pytest
 import sympy
 
 from radsurj import surjcheck
-from radsurj.arith import NEG_INF, MultiPoly, Role, VarTable
+from radsurj.arith import NEG_INF, MultiPoly, Role, VarTable, poly_divmod, poly_gcd
 from radsurj.errors import InputError, ResourceError
 from radsurj.ideal import TermOrder, _Budget, common_zeros
 from radsurj.parser import parse
 from radsurj.surjcheck import (
+    _rem_by_powers,
     check_surjective,
     default_coordinates,
     hypothesis1,
@@ -23,10 +24,12 @@ from radsurj.surjcheck import (
 from radsurj.tower import RadicalLevel, RadicalTower, normalized_remainder
 
 from support import (
+    T_ONLY,
     TD1,
     TD12,
     common_zero_ideal_ref,
     hypothesis2_ref,
+    random_nonzero_poly,
     random_poly_bounded,
     random_reduced_poly,
     random_tower,
@@ -221,6 +224,45 @@ def test_h_division_spends_the_step_budget():
     with pytest.raises(ResourceError):
         hypothesis2(param, 1, step_budget=4999)
     assert hypothesis2(param, 1, step_budget=5000) == (True, "exact", True, None)
+
+
+def test_h_from_powers_of_t_equals_gcd_of_r_and_s():
+    # h = gcd(s, r mod s), with r mod s built from t^k mod s, is
+    # gcd(r, s) itself, unit normalization included
+    rng = Random(20261019)
+    x = MultiPoly.var(T_ONLY, "t")
+    nontrivial = 0
+    for _ in range(60):
+        common = random_nonzero_poly(rng, T_ONLY, max_terms=3)
+        cofactor = random_nonzero_poly(rng, T_ONLY, max_exp=4) + x ** rng.choice((1, 7, 40, 300))
+        r = common * cofactor * Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        s = poly_divmod(common * random_nonzero_poly(rng, T_ONLY, max_exp=5), r)[1]
+        if s.is_zero() or r.is_const():
+            continue
+        rem = _rem_by_powers(r, s)
+        assert rem == poly_divmod(r, s)[1]
+        h = poly_gcd(s, rem)
+        assert h == poly_gcd(r, s)
+        nontrivial += not h.is_const()
+    assert nontrivial >= 20
+    assert _rem_by_powers(3 * x**1000000 + x + 1, x**2 + 1) == x + 4
+
+
+def test_sparse_denominator_of_huge_degree_finishes(tmp_path):
+    # gcd(r, s) by the PRS on r pseudo-divided about deg r times here and
+    # took 22 s; run in a child process so a regression fails on the timeout
+    path = tmp_path / "sparse.rs"
+    path.write_text("tower { d^2 = t; } param { x = (t^2 + 1) / (3*t^1000000 + t + 1); y = d; }")
+    proc = subprocess.run(
+        [sys.executable, "-m", "radsurj.cli", "check", str(path), "--stable"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)["surjectivity"]
+    assert report["verdict"] == "CERTIFIED_SURJECTIVE"
+    assert report["components"][0]["hyp2_route"] == "exact"
 
 
 def test_zero_divisor_denominator_keeps_gcd_of_r_and_rp():

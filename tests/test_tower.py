@@ -32,6 +32,7 @@ from support import (
     resultant_chain,
     sym,
     to_sympy,
+    tower_norm_ref,
 )
 
 t = MultiPoly.var(TD1, "t")
@@ -267,6 +268,34 @@ def test_tower_norm_matches_sympy_resultant():
         assert sympy.expand(to_sympy(tower_norm(f, level)) - expected) == 0
         checked += 1
     assert checked >= 10
+
+
+def test_tower_norm_matches_fraction_reference():
+    # top exponents 2..5 over rational radicands, rational f, the zero
+    # polynomial, f free of the top radical, and norms over a table with
+    # an inert coordinate
+    rng = Random(44)
+    wide = 0
+    for n in range(80):
+        base = random_tower(rng, rng.randint(1, 2), max_e=3, tdeg=3)
+        levels = [
+            RadicalLevel(lv.name, lv.exponent, lv.radicand * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+            for lv in base.levels
+        ]
+        levels[-1] = RadicalLevel(levels[-1].name, 2 + n % 4, levels[-1].radicand)
+        tw = RadicalTower(base.table, levels)
+        f = random_reduced_poly(rng, tw, tdeg=3, max_terms=8)
+        f = MultiPoly(f.table, {e: c / rng.randint(1, 6) for e, c in f.coeffs.items()})
+        cases = [f, MultiPoly.zero(f.table), f.coeff_poly(tw.m, 0)]
+        if n % 3 == 0:
+            table = VarTable(tw.table.names + ("x",), tw.table.roles + (Role.COORDINATE,))
+            cases.append(f.transport(table) * (MultiPoly.var(table, "x") + Fraction(1, 2)))
+            wide += 1
+        for g in cases:
+            got, want = tower_norm(g, levels[-1]), tower_norm_ref(g, levels[-1])
+            assert got == want
+            assert list(got.coeffs) == list(want.coeffs)
+    assert wide >= 20
 
 
 def test_tower_norm_rejects_unreduced_input():
