@@ -6,12 +6,12 @@ oracles at the end (subresultant resultant and the resultant chain
 built from it, Sylvester determinant, sign-product conjugation, the
 product on exponent tuples and Fractions, the tower norm expanded on
 Fraction polynomials, single-level fast guilt, exact and uncached
-complex evaluation, division and Groebner reduction on immutable
-polynomials, the term order key that dispatched on each call,
-Buchberger on exponent tuples, the primitive PRS gcd that kept each
-remainder's rational scalar, hypothesis 2 on the common-zero ideal
-without the resultant gcd h) are second implementations that the
-tests compare the package against.
+complex evaluation, the image cloud one point at a time, division and
+Groebner reduction on immutable polynomials, the term order key that
+dispatched on each call, Buchberger on exponent tuples, the primitive
+PRS gcd that kept each remainder's rational scalar, hypothesis 2 on
+the common-zero ideal without the resultant gcd h) are second
+implementations that the tests compare the package against.
 """
 
 import heapq
@@ -33,6 +33,14 @@ from radsurj.arith import (
 )
 from radsurj.errors import DomainError, InputError, RadsurjError, ResourceError, StructuralError
 from radsurj.ideal import DEFAULT_STEP_BUDGET, _Budget, common_zeros
+from radsurj.sampler import (
+    DEFAULT_BRANCH_TOL,
+    BranchPoint,
+    SampleReport,
+    default_samples,
+    enumerate_branches,
+    scaled_residual,
+)
 from radsurj.tower import RadicalTower, normal_form, normalized_remainder
 
 T_ONLY = VarTable(("t",), (Role.PARAMETER,))
@@ -194,6 +202,36 @@ def scaled_residual_ref(g: MultiPoly, point) -> float:
         total += term
         scale = max(scale, abs(term))
     return abs(total) / scale
+
+
+def sample_images_ref(param, samples=None, tol=DEFAULT_BRANCH_TOL, implicit=None) -> SampleReport:
+    """sampler.sample_images one point at a time.
+
+    The loop the package ran before it evaluated by columns: every
+    branch of every sample, each denominator, numerator and implicit
+    generator through eval_complex and scaled_residual.
+    """
+    if samples is None:
+        samples = default_samples()
+    tower = param.tower
+    accepted: list[BranchPoint] = []
+    rejected = 0
+    max_residual = None
+    for t0 in samples:
+        for deltas in enumerate_branches(tower, t0):
+            point = [t0, *deltas]
+            dens = [c.denominator.eval_complex(point) for c in param.components]
+            if any(abs(d) <= tol for d in dens):
+                rejected += 1
+                continue
+            image = tuple(
+                c.numerator.eval_complex(point) / d for c, d in zip(param.components, dens)
+            )
+            accepted.append(BranchPoint(t0, deltas, image))
+            if implicit:
+                worst = max(scaled_residual(g, image) for g in implicit)
+                max_residual = worst if max_residual is None else max(max_residual, worst)
+    return SampleReport(len(samples), tuple(accepted), rejected, max_residual, tol)
 
 
 def complex_eval_corpus(rng: Random) -> list[tuple[MultiPoly, list[tuple[complex, ...]]]]:

@@ -414,6 +414,35 @@ def test_ideal_flag_is_gone(capsys):
     assert "unrecognized arguments: --ideal exact" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # main reuses one parser; alternating commands, a bad flag and an
+    # expression command must each give what a fresh parser gives
+    argvs = [
+        ["check", str(DATA / "circle.rs"), "--stable"],
+        ["missing", str(DATA / "rational_circle.rs"), "--stable"],
+        ["sample", str(DATA / "circle.rs"), "--points", "5", "--stable"],
+        ["sample", str(DATA / "circle.rs"), "--ideal", "exact"],
+        ["nf", str(DATA / "nested.rs"), "--expr", "d1^3 + t", "--stable"],
+        ["check", str(DATA / "axis.rs"), "--mode", "suspicious", "--stable"],
+        ["sample", str(DATA / "axis.rs"), "--stable"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        return code, *capsys.readouterr()
+
+    shared = [outcome(argv) for argv in argvs * 2]
+    assert shared[3][0] == ("exit", 2)
+    monkeypatch.setattr(cli, "_argparser", cli.build_argparser)
+    assert shared == [outcome(argv) for argv in argvs * 2]
+    monkeypatch.undo()
+    assert cli._argparser() is cli._argparser()
+    assert cli.build_argparser() is not cli.build_argparser()
+
+
 def test_readme_synopsis_matches_argparser():
     # each synopsis line lists its command's own flags, and the
     # paragraph after it the flags that every command takes

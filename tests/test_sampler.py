@@ -1,14 +1,16 @@
 import cmath
 import csv
 import math
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from radsurj.arith import MultiPoly
+from radsurj.arith import MultiPoly, Role, VarTable
 from radsurj.errors import InputError, NumericError, StructuralError
-from radsurj import sampler
+from radsurj import cli, sampler
 from radsurj.missing import implicitize, missing_candidates
+from radsurj.parser import parse_source
 from radsurj.sampler import (
     CandidateVerdict,
     complex_roots,
@@ -22,7 +24,17 @@ from radsurj.sampler import (
 from radsurj.surjcheck import normalize_param
 from radsurj.tower import RadicalLevel, RadicalTower
 
-from support import TD1, TD12, T_ONLY, complex_eval_corpus, scaled_residual_ref
+from support import (
+    TD1,
+    TD12,
+    T_ONLY,
+    complex_eval_corpus,
+    random_poly,
+    random_reduced_poly,
+    random_tower,
+    sample_images_ref,
+    scaled_residual_ref,
+)
 
 t = MultiPoly.var(TD1, "t")
 d1 = MultiPoly.var(TD1, "d1")
@@ -300,3 +312,151 @@ def test_scaled_residual_is_relative():
     assert scaled_residual(g, (0.6 + 0j, 0.8 + 0j)) <= 1e-15
     big = scaled_residual(g, (1e6 + 0j, 1e6 + 0j))
     assert big <= 2.5 and big > 0.1
+
+
+# ----------------------------------------------------------------------
+# image cloud by columns against the per-point loop
+
+
+def same_cloud(param, samples=None, tol=sampler.DEFAULT_BRANCH_TOL, implicit=None):
+    want = sample_images_ref(param, samples, tol, implicit)
+    got = sample_images(param, samples, tol, implicit)
+    assert [repr(pt) for pt in got.accepted] == [repr(pt) for pt in want.accepted]
+    assert repr(got.max_implicit_residual) == repr(want.max_implicit_residual)
+    assert repr(got) == repr(want)  # counts and tol
+    return want
+
+
+def random_param(rng, m):
+    tower = random_tower(rng, m, max_e=3, tdeg=2, nested=True)
+    tv = MultiPoly.var(tower.table, "t")
+    pairs = []
+    for _ in range(rng.choice((1, 2, 2, 3))):
+        num = random_reduced_poly(rng, tower, tdeg=3)
+        r = rng.random()
+        if r < 0.3:
+            den = MultiPoly.one(tower.table)
+        elif r < 0.7:
+            den = tv - rng.randint(-2, 2)
+        else:
+            den = random_reduced_poly(rng, tower, tdeg=2)
+        pairs.append((num, den))
+    return normalize_param(tower, pairs)[0]
+
+
+def random_implicit(rng, param, kind):
+    """None, no generator, one or two over the coordinates."""
+    if kind is None:
+        return None
+    n = len(param.components)
+    table = VarTable(tuple(f"x{i}" for i in range(n)), (Role.COORDINATE,) * n)
+    return [random_poly(rng, table, max_exp=3, max_terms=5) for _ in range(kind)]
+
+
+def test_sample_images_matches_point_loop_on_seeded_towers():
+    # heights 0-2, exponents 2-3, nested radicands; sample counts 1, one
+    # block, one block + 1 and the default schedule; integer samples hit
+    # radicand zeros and the t - a denominators
+    rng = Random(20261019)
+    block = sampler._BLOCK
+    pool = [0j, 1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j] + default_samples(block)
+    counts = (1, block, block + 1, None)
+    for k in range(24):
+        param = random_param(rng, k % 3)
+        count = counts[k % 4]
+        samples = None if count is None else pool[:count]
+        implicit = random_implicit(rng, param, (None, 0, 1, 2)[(k // 4) % 4])
+        tol = 0.0 if k % 5 == 0 else sampler.DEFAULT_BRANCH_TOL
+        same_cloud(param, samples, tol, implicit)
+
+
+def test_sample_images_matches_point_loop_at_collapsed_and_rejected_rows():
+    # t = 0 collapses d^2 = t; t = 1 zeroes the denominator t - 1
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, t)])
+    param = normalize_param(tower, [(d1, ONE), (t, t - 1)])[0]
+    for tol in (sampler.DEFAULT_BRANCH_TOL, 0.0):
+        report = same_cloud(param, [0j, 1 + 0j, 4 + 0j, 1 + 1e-12j], tol)
+        assert report.accepted[0].deltas == (0j,)
+    assert same_cloud(param, [1 + 1e-12j], 0.0).rejected == 0
+    assert same_cloud(param, [1 + 1e-12j]).rejected == 2
+    # at t = 1, d2^2 = d1 - 1 collapses over d1 = 1 only; 1/(d1 - 1) is rejected there
+    tower = RadicalTower(TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 2, e1 - 1)])
+    one = MultiPoly.one(TD12)
+    param = normalize_param(tower, [(e2, one), (one, e1 - 1)])[0]
+    report = same_cloud(param, [1 + 0j, 0j, 3 + 0j], 0.0)
+    assert report.rejected == 1 and len(report.accepted) == 2 + 2 + 4
+    # a nan denominator (inf - inf at t = 1e10) is not within tol of zero
+    unit = MultiPoly.one(T_ONLY)
+    param = normalize_param(RadicalTower(T_ONLY, []), [(unit, 10**300 * (tt**2 - tt**3))])[0]
+    report = same_cloud(param, [1e10 + 0j, 2 + 0j])
+    assert report.rejected == 0 and cmath.isnan(report.accepted[0].image[0])
+
+
+def test_sample_images_residual_maximum_keeps_nan_order():
+    # at t = 1e10 the term 10^300*x overflows to inf, and inf/inf makes
+    # that residual nan; max keeps a nan that comes first and drops one
+    # that comes later, per point over the generators and over the points
+    unit = MultiPoly.one(T_ONLY)
+    param = normalize_param(RadicalTower(T_ONLY, []), [(tt, unit), (unit, unit)])[0]
+    table = VarTable(("x", "y"), (Role.COORDINATE,) * 2)
+    x, y = MultiPoly.var(table, "x"), MultiPoly.var(table, "y")
+    huge, rest = 10**300 * x - 1, y - 3
+    big, small = 1e10 + 0j, 2 + 0j
+    assert math.isnan(same_cloud(param, [big, small], 0.0, [huge, rest]).max_implicit_residual)
+    assert same_cloud(param, [small, big], 0.0, [huge, rest]).max_implicit_residual == 1.0
+    assert same_cloud(param, [big], 0.0, [rest, huge]).max_implicit_residual == 2 / 3
+    # a later block that opens with nan still raises the maximum: residuals
+    # of x + y are 1.5 at t = 1/2 and 2 at t = 1
+    half = [0.5 + 0j] * sampler._BLOCK
+    report = same_cloud(param, half + [big, 1 + 0j], 0.0, [huge, x + y])
+    assert report.max_implicit_residual == 2.0
+
+
+def test_sample_images_errors_match_point_loop(monkeypatch):
+    # the numerator t^200 overflows at t = 1000 only where the per-point
+    # loop never evaluates it: the denominator rejects that row
+    unit = MultiPoly.one(T_ONLY)
+    param = normalize_param(RadicalTower(T_ONLY, []), [(tt**200, tt - 1000), (tt, unit)])[0]
+    same_cloud(param, [1000 + 0j, 2 + 0j])
+    for run in (sample_images_ref, sample_images):
+        with pytest.raises(OverflowError):
+            run(param, [2 + 0j, 999 + 0j])
+    # implicit generators over the wrong number of coordinates
+    wrong = [MultiPoly.var(TD12, "t")]
+    for run in (sample_images_ref, sample_images):
+        with pytest.raises(StructuralError, match="wrong arity"):
+            run(param, [2 + 0j], implicit=wrong)
+    # the error names the first failing sample's first failing level: at
+    # t = 0 level d1 collapses and d2 fails; at t = 4 level d1 fails
+    tower = RadicalTower(TD12, [RadicalLevel("d1", 2, t2), RadicalLevel("d2", 3, e1 + t2 + 1)])
+    one = MultiPoly.one(TD12)
+    param = normalize_param(tower, [(e1, one), (e2, one)])[0]
+    monkeypatch.setattr(sampler, "DEFAULT_BRANCH_TOL", 1e-300)
+    for samples, level in (([0j, 4 + 0j], "d2"), ([4 + 0j, 0j], "d1")):
+        for run in (sample_images_ref, sample_images):
+            with pytest.raises(NumericError, match=f"^branch violates level {level} beyond"):
+                run(param, samples)
+
+
+def test_probe_is_the_nearest_image_of_the_point_loop():
+    rng = Random(20261020)
+    for k in range(30):
+        param = random_param(rng, k % 3)
+        for _ in range(4):
+            re, im = rng.choice((0, 1, 2, rng.uniform(-3, 3))), rng.choice((0, rng.uniform(-3, 3)))
+            t0 = complex(re, im)
+            cand = tuple(complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in param.components)
+            tol = rng.choice((0.0, sampler.DEFAULT_BRANCH_TOL, 0.5))
+            cloud = sample_images_ref(param, [t0], tol).accepted
+            want = min((sampler._image_distance(pt.image, cand) for pt in cloud), default=math.inf)
+            assert repr(sampler._probe(param, cand, t0, tol)) == repr(want)
+
+
+@pytest.mark.parametrize("name", ["cotas.rs", "nested.rs"])
+def test_csv_matches_point_loop_cloud(name, tmp_path, capsys):
+    path = Path(__file__).parent / "data" / name
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert cli.main(["sample", str(path), "--stable", "--csv", str(got)]) == 0
+    param = parse_source(path.read_text()).param
+    write_csv(sample_images_ref(param), param, str(want))
+    assert got.read_bytes() == want.read_bytes()
