@@ -450,6 +450,43 @@ def _iadd_packed(acc: Packed, b: Packed) -> None:
             del acc[k]
 
 
+def binomial_norm(coeffs: Sequence[MultiPoly], g: MultiPoly) -> MultiPoly:
+    """Norm of f = sum coeffs[k] * Delta^k modulo Delta^e - g, e = len(coeffs).
+
+    The norm is the determinant of the matrix M of multiplication by f
+    on the basis 1, Delta, ..., Delta^(e-1).  Its entry in row r,
+    column j is c_(r-j) for r >= j and g*c_(r-j+e) for r < j.  The
+    entries are packed once as integer polynomials over one denominator
+    D, so M = N / D and det M = det N / D^e.  det N is expanded column
+    by column over row subsets, minors[rows] being the minor on those
+    rows and the first |rows| columns: e*2^(e-1) integer products and
+    no division.  g and every coefficient share one table.
+    """
+    e = len(coeffs)
+    gc = [MultiPoly.zero(g.table)] + [c if c.is_zero() else g * c for c in coeffs[1:]]
+    entries, denom, width = _pack([*coeffs, *gc], e)
+    c, gc = entries[:e], entries[e:]
+    minors = {1 << r: cr for r, cr in enumerate(c) if cr}  # column 0's 1x1 minors
+    for j in range(1, e):
+        wider: dict[int, Packed] = {}
+        for rows, minor in minors.items():
+            for r in range(e):
+                bit = 1 << r
+                entry = c[r - j] if r >= j else gc[r - j + e]
+                if rows & bit or not entry:
+                    continue
+                term = _mul_packed(entry, minor)
+                if (rows >> r).bit_count() % 2:  # rows below r in the minor
+                    term = {k: -v for k, v in term.items()}
+                key = rows | bit
+                if key in wider:
+                    _iadd_packed(wider[key], term)
+                else:
+                    wider[key] = term
+        minors = {rows: m for rows, m in wider.items() if m}
+    return _unpack(g.table, minors.get((1 << e) - 1, {}), denom**e, width)
+
+
 # ----------------------------------------------------------------------
 # weighted degrees
 

@@ -24,7 +24,7 @@ from typing import Sequence
 from .arith import MultiPoly, Role, VarTable, content_wrt, exact_div, squarefree_part
 from .errors import ResourceError
 from .ideal import DEFAULT_STEP_BUDGET, common_zeros, elimination_ideal
-from .sampler import complex_roots, scaled_residual
+from .sampler import complex_roots, scaled_residuals
 from .surjcheck import RadicalParametrization
 from .tower import RadicalTower, normalized_remainder
 
@@ -280,12 +280,13 @@ def filtered_candidates(
             axes.append(())
         else:
             axes.append(coord.numeric_roots)
-    candidates: list[tuple[complex, ...]] = []
-    if not degenerate:
-        for tup in itertools.product(*axes):
-            if implicit and any(scaled_residual(g, tup) > filter_tol for g in implicit):
-                continue
-            candidates.append(tup)
+    candidates = [] if degenerate else list(itertools.product(*axes))
+    # each generator is evaluated only on the candidates that every
+    # earlier one kept; a nan residual keeps its candidate
+    for g in implicit or ():
+        if candidates:
+            residuals = scaled_residuals(g, [list(col) for col in zip(*candidates)], {})
+            candidates = [tup for tup, r in zip(candidates, residuals) if not r > filter_tol]
     return CandidateSet(
         tuple(candidates),
         polys,

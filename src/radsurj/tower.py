@@ -30,14 +30,10 @@ from typing import Sequence
 
 from .arith import (
     MultiPoly,
-    Packed,
     Role,
     VarTable,
     WeightVector,
-    _iadd_packed,
-    _mul_packed,
-    _pack,
-    _unpack,
+    binomial_norm,
     leading_form,
     weighted_degree,
 )
@@ -199,49 +195,15 @@ def normal_form(f: MultiPoly, tower: RadicalTower) -> MultiPoly:
 
 
 def tower_norm(f: MultiPoly, level: RadicalLevel) -> MultiPoly:
-    """Res_Delta(Delta^e - g, f) for f of degree below e in Delta.
-
-    The tower polynomial is monic in Delta, so the resultant is the norm
-    of f, the product of f(alpha) over the roots alpha: the determinant
-    of the matrix M of multiplication by f = sum c_k Delta^k on the
-    basis 1, Delta, ..., Delta^(e-1).  Its entry in row r, column j is
-    c_(r-j) for r >= j and g*c_(r-j+e) for r < j.  The entries are
-    packed once as integer polynomials over one denominator D, so
-    M = N / D and det M = det N / D^e.  det N is expanded column by
-    column over row subsets, minors[rows] being the minor on those rows
-    and the first |rows| columns: e*2^(e-1) integer products and no
-    division.
-    """
+    """Res_Delta(Delta^e - g, f) for f of degree below e in Delta: the
+    tower polynomial is monic in Delta, so this is the norm of f."""
     var = f.table.index(level.name)
     e = level.exponent
     c = f.univariate_coeffs(var)
     if len(c) > e:
         raise DomainError(f"norm needs a polynomial reduced below {level.name}^{e}")
     g = level.radicand if f.table == level.radicand.table else level.radicand.transport(f.table)
-    zero = MultiPoly.zero(f.table)
-    c += [zero] * (e - len(c))
-    gc = [zero] + [zero if ck.is_zero() else g * ck for ck in c[1:]]
-    entries, denom, width = _pack(c + gc, e)
-    c, gc = entries[:e], entries[e:]
-    minors = {1 << r: cr for r, cr in enumerate(c) if cr}  # column 0's 1x1 minors
-    for j in range(1, e):
-        wider: dict[int, Packed] = {}
-        for rows, minor in minors.items():
-            for r in range(e):
-                bit = 1 << r
-                entry = c[r - j] if r >= j else gc[r - j + e]
-                if rows & bit or not entry:
-                    continue
-                term = _mul_packed(entry, minor)
-                if (rows >> r).bit_count() % 2:  # rows below r in the minor
-                    term = {k: -v for k, v in term.items()}
-                key = rows | bit
-                if key in wider:
-                    _iadd_packed(wider[key], term)
-                else:
-                    wider[key] = term
-        minors = {rows: m for rows, m in wider.items() if m}
-    return _unpack(f.table, minors.get((1 << e) - 1, {}), denom**e, width)
+    return binomial_norm(c + [MultiPoly.zero(f.table)] * (e - len(c)), g)
 
 
 def remainder_trace(f: MultiPoly, tower: RadicalTower) -> list[MultiPoly]:

@@ -39,7 +39,6 @@ from radsurj.sampler import (
     SampleReport,
     default_samples,
     enumerate_branches,
-    scaled_residual,
 )
 from radsurj.tower import RadicalTower, normal_form, normalized_remainder
 
@@ -195,7 +194,8 @@ def eval_complex_ref(poly: MultiPoly, values) -> complex:
 
 
 def scaled_residual_ref(g: MultiPoly, point) -> float:
-    """Uncached sampler.scaled_residual: |g(point)| over the largest term (floor 1)."""
+    """sampler.scaled_residuals at one point, uncached: |g(point)| over the
+    largest term (floor 1)."""
     total = 0j
     scale = 1.0
     for term in _complex_term_values(g, point):
@@ -209,7 +209,7 @@ def sample_images_ref(param, samples=None, tol=DEFAULT_BRANCH_TOL, implicit=None
 
     The loop the package ran before it evaluated by columns: every
     branch of every sample, each denominator, numerator and implicit
-    generator through eval_complex and scaled_residual.
+    generator through eval_complex and scaled_residual_ref.
     """
     if samples is None:
         samples = default_samples()
@@ -229,7 +229,7 @@ def sample_images_ref(param, samples=None, tol=DEFAULT_BRANCH_TOL, implicit=None
             )
             accepted.append(BranchPoint(t0, deltas, image))
             if implicit:
-                worst = max(scaled_residual(g, image) for g in implicit)
+                worst = max(scaled_residual_ref(g, image) for g in implicit)
                 max_residual = worst if max_residual is None else max(max_residual, worst)
     return SampleReport(len(samples), tuple(accepted), rejected, max_residual, tol)
 

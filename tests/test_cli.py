@@ -169,6 +169,23 @@ def test_other_package_errors_exit_four(error, monkeypatch, capsys):
     assert err == "error: raised inside the check\n"
 
 
+@pytest.mark.parametrize(
+    "source, command, reason",
+    [
+        ("x = (10^400*t + 1) / t; y = t;", "missing", "integer division result too large for a float"),
+        ("x = (10^400*t + 1) / t; y = t;", "sample", "integer division result too large for a float"),
+        ("x = t^500; y = t;", "sample", "complex exponentiation"),
+    ],
+)
+def test_float_overflow_exits_four(source, command, reason, tmp_path, capsys):
+    # 10^400 has no float; 5^500 on the default schedule's real sweep passes 10^308
+    src = tmp_path / "overflow.rs"
+    src.write_text(f"tower {{ }}\nparam {{ {source} }}\n")
+    code, doc, err = run([command, str(src), "--stable"], capsys)
+    assert code == 4 and doc is None
+    assert err == f"error: numeric overflow ({reason})\n"
+
+
 # ----------------------------------------------------------------------
 # command payloads
 

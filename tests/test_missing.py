@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,10 +7,14 @@ from random import Random
 
 import pytest
 
-from radsurj.arith import MultiPoly
+from radsurj import missing
+from radsurj.arith import MultiPoly, Role, VarTable
 from radsurj.errors import ResourceError
 from radsurj.ideal import CAP, DEFAULT_STEP_BUDGET
 from radsurj.missing import (
+    DEFAULT_FILTER_TOL,
+    CandidatePolySet,
+    CoordinateCandidates,
     candidate_polys,
     component_curve_poly,
     condition2_locus,
@@ -21,7 +26,16 @@ from radsurj.parser import parse
 from radsurj.surjcheck import hypothesis2, normalize_param
 from radsurj.tower import RadicalLevel, RadicalTower
 
-from support import TD1, TD12, T_ONLY, random_reduced_poly, random_tower, to_sympy
+from support import (
+    TD1,
+    TD12,
+    T_ONLY,
+    random_nonzero_poly,
+    random_reduced_poly,
+    random_tower,
+    scaled_residual_ref,
+    to_sympy,
+)
 
 t = MultiPoly.var(TD1, "t")
 d1 = MultiPoly.var(TD1, "d1")
@@ -402,3 +416,59 @@ def test_missing_candidates_budget_note_and_unfiltered():
     assert any("condition-2" in n for n in rep.notes)
     # without the filter the full cartesian product is reported
     assert len(rep.candidates) == 4
+
+
+def filtered_like_point_rule(monkeypatch, axes, implicit):
+    """filtered_candidates over the candidate product of axes, against the
+    rule one tuple at a time."""
+    table = implicit[0].table
+    coords = tuple(
+        CoordinateCandidates(name, None, MultiPoly.one(table), len(roots), (), tuple(roots))
+        for name, roots in zip(table.names, axes)
+    )
+    monkeypatch.setattr(missing, "candidate_polys", lambda param: CandidatePolySet(coords))
+    monkeypatch.setattr(missing, "implicitize", lambda param, budget: list(implicit))
+    want = [
+        tup
+        for tup in itertools.product(*axes)
+        if not any(scaled_residual_ref(g, tup) > DEFAULT_FILTER_TOL for g in implicit)
+    ]
+    got = missing.filtered_candidates(None).candidates
+    assert list(got) == want
+    return got
+
+
+def test_filter_by_columns_matches_point_rule(monkeypatch):
+    # random candidate products and 1-3 generators, most of them vanishing
+    # on the candidates of one coordinate value, so tuples go both ways
+    rng = Random(20261019)
+    pool = [0j, 1 + 0j, -1 + 0j, 2 + 0j, 0.5 - 1.5j]
+    kept = removed = 0
+    for k in range(40):
+        n = rng.randint(1, 3)
+        table = VarTable(tuple(f"x{i}" for i in range(n)), (Role.COORDINATE,) * n)
+        axes = [
+            rng.sample(pool, rng.randint(1, 3)) + [complex(rng.uniform(-3, 3), rng.uniform(-1, 1))]
+            for _ in range(n)
+        ]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            g = random_nonzero_poly(rng, table, max_exp=2, max_terms=3)
+            if rng.random() < 0.8:
+                i = rng.randrange(n)
+                g = g * (MultiPoly.var(table, f"x{i}") - int(rng.choice(pool[:4]).real))
+            gens.append(g)
+        got = filtered_like_point_rule(monkeypatch, axes, gens)
+        kept += len(got)
+        removed += len(list(itertools.product(*axes))) - len(got)
+    assert kept > 20 and removed > 20
+    x, y = (MultiPoly.var(VarTable(("x", "y"), (Role.COORDINATE,) * 2), n) for n in "xy")
+    # a nan residual (inf/inf at x = 1e10) keeps its candidate
+    got = filtered_like_point_rule(monkeypatch, [[1e10 + 0j, 2 + 0j], [0j]], [10**300 * x - 1])
+    assert got == ((1e10 + 0j, 0j),)
+    # a residual exactly at the tolerance keeps its candidate
+    axes = [[DEFAULT_FILTER_TOL + 0j, 1.0000001 * DEFAULT_FILTER_TOL + 0j, 0j], [0j]]
+    got = filtered_like_point_rule(monkeypatch, axes, [y, x])
+    assert got == ((DEFAULT_FILTER_TOL + 0j, 0j), (0j, 0j))
+    # an empty product
+    assert filtered_like_point_rule(monkeypatch, [[1 + 0j], []], [x, y]) == ()

@@ -59,3 +59,17 @@ def test_every_import_is_used():
     for path in sorted(Path(radsurj.__file__).parent.glob("*.py")):
         imported, used = _imported_and_used(ast.parse(path.read_text(encoding="utf-8")))
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_no_module_imports_another_modules_private_names():
+    for path in sorted(Path(radsurj.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private = [
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").partition(".")[0] == "radsurj")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert not private, (path.name, private)

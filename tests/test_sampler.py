@@ -18,7 +18,7 @@ from radsurj.sampler import (
     default_samples,
     enumerate_branches,
     sample_images,
-    scaled_residual,
+    scaled_residuals,
     write_csv,
 )
 from radsurj.surjcheck import normalize_param
@@ -295,6 +295,11 @@ def test_write_csv_columns_and_rows(tmp_path):
     assert all(len(r) == 8 for r in rows[1:])
 
 
+def scaled_residual(g, point):
+    """scaled_residuals on the one-row columns of point."""
+    return scaled_residuals(g, [[x] for x in point], {})[0]
+
+
 def test_scaled_residual_matches_uncached_reference():
     for g, points in complex_eval_corpus(Random(20261019)):
         for x in points:
@@ -436,6 +441,28 @@ def test_sample_images_errors_match_point_loop(monkeypatch):
         for run in (sample_images_ref, sample_images):
             with pytest.raises(NumericError, match=f"^branch violates level {level} beyond"):
                 run(param, samples)
+
+
+def test_numerator_overflow_on_a_rejected_row_takes_one_block(monkeypatch):
+    # t^200 overflows at t = 1000, where the denominator t - 1000 rejects
+    # the row before any numerator is evaluated: no redo sample by sample
+    unit = MultiPoly.one(T_ONLY)
+    param = normalize_param(RadicalTower(T_ONLY, []), [(tt**200, tt - 1000), (tt, unit)])[0]
+    calls = []
+    block_by_columns = sampler._block_by_columns
+
+    def counted(param, block, tol, implicit):
+        calls.append(len(block))
+        return block_by_columns(param, block, tol, implicit)
+
+    monkeypatch.setattr(sampler, "_block_by_columns", counted)
+    report = same_cloud(param, [2 + 0j, 1000 + 0j, 3 + 0j])
+    assert calls == [3] and report.rejected == 1
+    # a numerator that overflows on a kept row is redone sample by sample
+    calls.clear()
+    with pytest.raises(OverflowError):
+        sample_images(param, [2 + 0j, 999 + 0j, 3 + 0j])
+    assert calls == [3, 1, 1]
 
 
 def test_probe_is_the_nearest_image_of_the_point_loop():
