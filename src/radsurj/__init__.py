@@ -21,7 +21,6 @@ from .ideal import buchberger, common_zeros, elimination_ideal
 from .missing import (
     MissingPointReport,
     candidate_polys,
-    condition2_locus,
     implicitize,
     infinity_bound,
     missing_candidates,
@@ -32,6 +31,7 @@ from .surjcheck import (
     RadicalParametrization,
     SurjectivityReport,
     check_surjective,
+    condition2_locus,
     normalize_param,
 )
 from .tower import (
@@ -63,7 +63,6 @@ __all__ = [
     "elimination_ideal",
     "MissingPointReport",
     "candidate_polys",
-    "condition2_locus",
     "implicitize",
     "infinity_bound",
     "missing_candidates",
@@ -77,6 +76,7 @@ __all__ = [
     "RadicalParametrization",
     "SurjectivityReport",
     "check_surjective",
+    "condition2_locus",
     "normalize_param",
     "RadicalLevel",
     "RadicalTower",

@@ -6,8 +6,8 @@ each coordinate it eliminates the radicals from x_i*q_i - p_i, reads
 off the leading t-coefficient c_i(x_i) of the cleaned result, and
 intersects the per-coordinate root sets with the implicit curve.  It
 also reports the two bounds (product of the c_i degrees, product of
-the tower degrees at infinity) and classifies the locus where both
-numerator and denominator vanish on the castle.
+the tower degrees at infinity) and, through surjcheck.condition2_locus,
+the locus where both numerator and denominator vanish on the castle.
 
 Candidates form a superset of the true missing points; confirming one
 is left to the numeric sampler.
@@ -23,9 +23,9 @@ from typing import Sequence
 
 from .arith import MultiPoly, Role, VarTable, content_wrt, exact_div, squarefree_part
 from .errors import ResourceError
-from .ideal import DEFAULT_STEP_BUDGET, common_zeros, elimination_ideal
+from .ideal import DEFAULT_STEP_BUDGET, elimination_ideal
 from .sampler import complex_roots, scaled_residuals
-from .surjcheck import RadicalParametrization
+from .surjcheck import Condition2Locus, RadicalParametrization, condition2_locus
 from .tower import RadicalTower, normalized_remainder
 
 DEFAULT_FILTER_TOL = 1e-8
@@ -177,24 +177,6 @@ def candidate_polys(param: RadicalParametrization) -> CandidatePolySet:
         uniq = tuple(reps[k] for k in sorted(reps))
         coords.append(CoordinateCandidates(name, g, lead, degree, tuple(exact), uniq, note))
     return CandidatePolySet(tuple(coords))
-
-
-@dataclass(frozen=True)
-class Condition2Locus:
-    """Common zeros of numerator and denominator on the castle."""
-
-    classification: str  # empty | finite | positive-dimensional | unknown
-    basis: tuple[MultiPoly, ...] | None
-
-
-def condition2_locus(
-    param: RadicalParametrization, i: int, step_budget: int = DEFAULT_STEP_BUDGET
-) -> Condition2Locus:
-    try:
-        gens, steps = param.common_zero_ideal(i, step_budget=step_budget)
-        return Condition2Locus(*common_zeros(gens, step_budget - steps))
-    except ResourceError:
-        return Condition2Locus("unknown", None)
 
 
 def infinity_bound(tower: RadicalTower) -> int:

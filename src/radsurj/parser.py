@@ -260,6 +260,8 @@ def parse_source(text: str) -> SourceParse:
         parser.expect("symbol", "{")
         while not parser.at_symbol("}"):
             key = parser.expect("ident")
+            if key.text in settings:
+                raise ParseError(f"setting {key.text!r} given twice", key.line, key.col)
             parser.expect("symbol", "=")
             val = parser.advance()
             if val.kind not in ("ident", "int"):

@@ -78,6 +78,8 @@ def input_echo(param: RadicalParametrization) -> dict:
 def surjectivity_json(report: SurjectivityReport, param: RadicalParametrization) -> dict:
     components = []
     for ev in report.components:
+        constant = param.components[ev.index - 1].denominator.is_const()
+        kind = ev.locus.classification
         entry = {
             "index": ev.index,
             "coordinate": param.coordinates[ev.index - 1],
@@ -90,11 +92,12 @@ def surjectivity_json(report: SurjectivityReport, param: RadicalParametrization)
             "remainder": None if ev.guilt is None else _poly(ev.guilt.remainder),
             "suspicious": None if ev.suspicion is None else ev.suspicion.suspicious,
             "suspicion_reason": None if ev.suspicion is None else ev.suspicion.reason,
-            "hyp2_established": ev.hyp2_established,
-            "hyp2_route": ev.hyp2_route,
-            "hyp2_exact": ev.hyp2_exact,
-            # schema v1 keeps this and "strategy" below from the retired
-            # gcd route, as the constants None and "auto"
+            # schema v1 derives the next three fields from the locus, and
+            # keeps "hyp2_gcd" and "strategy" below from the retired gcd
+            # route as the constants None and "auto"
+            "hyp2_established": kind == "empty",
+            "hyp2_route": "constant-denominator" if constant else "exact" if kind == "empty" else None,
+            "hyp2_exact": None if constant or kind == "unknown" else kind == "empty",
             "hyp2_gcd": None,
         }
         components.append(entry)

@@ -12,15 +12,16 @@ CERTIFIED_SURJECTIVE and INCONCLUSIVE.  The checker evaluates
   numerator and denominator generate the whole ring, so no parameter
   value drives a component into 0/0.
 
-Hypothesis 2 first builds h = gcd(r, R(p) mod r) in Q[t], where r is
-the denominator q itself when q lies in Q[t] and its normalized
-remainder R(q) otherwise.  Resultants lie in the ideal of their
-arguments, so h lies in the ideal of tower, p and q: a unit h proves
-the ideal trivial at once.  A constant denominator is immediate;
-otherwise the checker asks for the common zeros of the ideal with h,
-which a unit h answers "empty" before any Groebner basis, and which
-otherwise runs the basis with h among the generators.  One step
-budget covers h's division and the basis; when it runs out, the
+One routine, condition2_locus, answers hypothesis 2 here and gives
+missing its condition-2 loci: the common zeros of the tower
+polynomials, p, q and h = gcd(r, R(p) mod r) in Q[t], where r is the
+denominator q itself when q lies in Q[t] and its normalized remainder
+R(q) otherwise.  Resultants lie in the ideal of their arguments, so h
+lies in the ideal of tower, p and q.  A constant q or a unit h gives
+an "empty" locus before any Groebner basis; otherwise the basis runs
+with h among the generators.  Hypothesis 2 holds for a component
+exactly when its locus is "empty".  One step budget covers h's
+division and the basis; when it runs out, the locus is "unknown", the
 component stays undecided and the report says so.
 """
 
@@ -164,6 +165,14 @@ def normalize_param(
 
 
 @dataclass(frozen=True)
+class Condition2Locus:
+    """Common zeros of numerator and denominator on the castle."""
+
+    classification: str  # empty | finite | positive-dimensional | unknown
+    basis: tuple[MultiPoly, ...] | None
+
+
+@dataclass(frozen=True)
 class ComponentEvidence:
     """Everything the checker learned about one component."""
 
@@ -173,9 +182,7 @@ class ComponentEvidence:
     degree_condition: bool
     guilt: GuiltReport | None
     suspicion: SuspicionReport | None
-    hyp2_established: bool = False
-    hyp2_route: str | None = None
-    hyp2_exact: bool | None = None
+    locus: Condition2Locus | None = None  # set by check_surjective
 
 
 @dataclass(frozen=True)
@@ -231,28 +238,24 @@ def hypothesis1(
     return witness, records
 
 
-def hypothesis2(
+def condition2_locus(
     param: RadicalParametrization,
     i: int,
     step_budget: int = DEFAULT_STEP_BUDGET,
     rp: MultiPoly | None = None,
-) -> tuple[bool, str | None, bool | None, None]:
-    """No-common-zero condition for component i (1-based).
+) -> Condition2Locus:
+    """Where component i (1-based) takes the form 0/0: the common zeros
+    of RadicalParametrization.common_zero_ideal, classified.
 
-    Returns (established, route, exact_result, None); the last entry is
-    kept for callers that unpack the former gcd result.  A constant
-    denominator is established at once.  Otherwise the common zeros of
-    RadicalParametrization.common_zero_ideal (rp is R(p) when the
-    caller has it) decide both ways: a unit h gives "empty" without a
-    basis run, else the basis runs on the ideal with h.  h's division
-    steps and the basis share step_budget; past it ResourceError
-    propagates and the component is undecided.
+    rp is R(p) when the caller has it.  h's division steps and the
+    basis share step_budget; past it, or past the packed exponent
+    bound, the locus is "unknown".
     """
-    if param.components[i - 1].denominator.is_const():
-        return True, "constant-denominator", None, None
-    gens, steps = param.common_zero_ideal(i, rp, step_budget)
-    exact = common_zeros(gens, step_budget - steps)[0] == "empty"
-    return exact, "exact" if exact else None, exact, None
+    try:
+        gens, steps = param.common_zero_ideal(i, rp, step_budget)
+        return Condition2Locus(*common_zeros(gens, step_budget - steps))
+    except ResourceError:
+        return Condition2Locus("unknown", None)
 
 
 # ----------------------------------------------------------------------
@@ -268,19 +271,12 @@ def check_surjective(
     notes: list[str] = []
     witness, records = hypothesis1(param, mode)
     enriched: list[ComponentEvidence] = []
-    all_hyp2 = True
     for rec in records:
-        try:
-            established, route, exact_res, _ = hypothesis2(
-                param, rec.index, step_budget, rec.guilt.remainder if rec.guilt else None
-            )
-        except ResourceError:
-            established, route, exact_res = False, None, None
+        rp = rec.guilt.remainder if rec.guilt else None
+        locus = condition2_locus(param, rec.index, step_budget, rp)
+        if locus.classification == "unknown":
             notes.append(f"component {rec.index}: hypothesis-2 step budget exhausted")
-        all_hyp2 = all_hyp2 and established
-        enriched.append(
-            replace(rec, hyp2_established=established, hyp2_route=route, hyp2_exact=exact_res)
-        )
+        enriched.append(replace(rec, locus=locus))
     if witness is None:
         if not any(r.degree_condition for r in records):
             notes.append("no component satisfies the degree condition")
@@ -288,8 +284,8 @@ def check_surjective(
             label = "suspicious" if mode == "suspicious" else "guilty"
             notes.append(f"every degree-condition component is {label}")
         return SurjectivityReport("INCONCLUSIVE", None, None, tuple(enriched), mode, tuple(notes))
-    if not all_hyp2:
-        failing = [str(r.index) for r in enriched if not r.hyp2_established]
+    failing = [str(r.index) for r in enriched if r.locus.classification != "empty"]
+    if failing:
         notes.append("hypothesis 2 not established for component(s) " + ", ".join(failing))
         return SurjectivityReport(
             "INCONCLUSIVE", witness, None, tuple(enriched), mode, tuple(notes)

@@ -703,9 +703,11 @@ def common_zero_ideal_ref(param, i: int) -> list[MultiPoly]:
 
 
 def hypothesis2_ref(param, i: int, strategy: str = "auto", step_budget: int = DEFAULT_STEP_BUDGET):
-    """surjcheck.hypothesis2 before h: the exact route runs the basis on
-    common_zero_ideal_ref, and the gcd route, taken by gcd or by auto
-    after an exhausted budget, tests gcd(R(p), R(q)) = 1."""
+    """Hypothesis 2 before h and the condition-2 locus, as the tuple
+    (hyp2_established, hyp2_route, hyp2_exact, hyp2_gcd) of the check
+    report: the exact route runs the basis on common_zero_ideal_ref,
+    and the gcd route, taken by gcd or by auto after an exhausted
+    budget, tests gcd(R(p), R(q)) = 1."""
     if strategy not in ("exact", "gcd", "auto"):
         raise InputError(f"unknown hypothesis-2 strategy {strategy!r}")
     comp = param.components[i - 1]

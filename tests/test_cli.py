@@ -10,7 +10,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from jsonschema import Draft7Validator
+from jsonschema import Draft7Validator, ValidationError
 
 from radsurj import cli
 from radsurj.errors import DomainError, StructuralError
@@ -56,6 +56,23 @@ def test_check_inconclusive_exits_three(capsys):
     validate(doc)
 
 
+def test_schema_pins_the_derived_component_fields(capsys):
+    # "gcd" stays a valid route: older schema-v1 documents may carry it
+    _, doc, _ = run(["check", str(DATA / "axis.rs"), "--stable"], capsys)
+    for field, value, valid in (
+        ("hyp2_route", "gcd", True),
+        ("hyp2_route", "bogus", False),
+        ("suspicion_reason", "bogus", False),
+    ):
+        edited = json.loads(json.dumps(doc))
+        edited["surjectivity"]["components"][0][field] = value
+        if valid:
+            validate(edited)
+        else:
+            with pytest.raises(ValidationError):
+                validate(edited)
+
+
 def test_missing_file_exits_two(capsys):
     code, doc, err = run(["check", str(DATA / "no_such_file.rs")], capsys)
     assert code == 2 and doc is None
@@ -99,8 +116,10 @@ def test_mutated_inputs_exit_with_documented_codes(tmp_path, capsys):
     # or a non-ASCII decimal digit
     rng = Random(20261018)
     sources = [re.findall(r"\w+|\S", p.read_text()) for p in sorted(DATA.glob("*.rs"))]
-    path = tmp_path / "mutant.rs"
-    for _ in range(300):
+    # each mutant gets a new file: rewriting one file 300 times cost
+    # most of this test's time on ext4
+    for k in range(300):
+        path = tmp_path / f"mutant{k}.rs"
         tokens = list(rng.choice(sources))
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(tokens))
@@ -291,8 +310,17 @@ def test_unknown_setting_value_exits_two(tmp_path, capsys):
         ("", ["--points", "-3"]),
         ("mdoe = suspicious;", []),
         ("ideal = auto;", []),
+        ("mode = guilty; mode = suspicious;", []),
     ],
-    ids=["points-word", "points-zero", "flag-zero", "flag-negative", "unknown-key", "ideal-key"],
+    ids=[
+        "points-word",
+        "points-zero",
+        "flag-zero",
+        "flag-negative",
+        "unknown-key",
+        "ideal-key",
+        "repeated-key",
+    ],
 )
 def test_bad_settings_exit_two(settings, flags, tmp_path, capsys):
     src = tmp_path / "bad_settings.rs"

@@ -165,6 +165,12 @@ def test_duplicate_names():
     assert "twice" in str(error_at("tower { } param { x = t; x = 1; }"))
 
 
+def test_repeated_setting_is_an_error_at_the_second_key():
+    err = error_at("tower { } param { x = t; }\nsettings { mode = guilty; mode = suspicious; }")
+    assert str(err).endswith("setting 'mode' given twice")
+    assert err.line == 2 and err.col == 27
+
+
 def test_unknown_identifier_position():
     err = error_at("tower { } param {\n  x = t + u;\n}")
     assert "'u'" in str(err)

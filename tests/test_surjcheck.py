@@ -10,15 +10,17 @@ import sympy
 
 from radsurj import surjcheck
 from radsurj.arith import NEG_INF, MultiPoly, Role, VarTable, poly_divmod, poly_gcd
-from radsurj.errors import InputError, ResourceError
-from radsurj.ideal import TermOrder, _Budget, common_zeros
+from radsurj.errors import InputError
+from radsurj.ideal import DEFAULT_STEP_BUDGET, TermOrder, _Budget, common_zeros
 from radsurj.parser import parse
+from radsurj.report import surjectivity_json
 from radsurj.surjcheck import (
+    Condition2Locus,
     _rem_by_powers,
     check_surjective,
+    condition2_locus,
     default_coordinates,
     hypothesis1,
-    hypothesis2,
     normalize_param,
 )
 from radsurj.tower import RadicalLevel, RadicalTower, normalized_remainder
@@ -163,21 +165,31 @@ def test_hypothesis1_rejects_unknown_mode():
 # hypothesis 2
 
 
+def hyp2_fields(param, step_budget=DEFAULT_STEP_BUDGET):
+    """(hyp2_established, hyp2_route, hyp2_exact) of every component,
+    as the check report derives them from the condition-2 loci."""
+    doc = surjectivity_json(check_surjective(param, step_budget=step_budget), param)
+    return [(c["hyp2_established"], c["hyp2_route"], c["hyp2_exact"]) for c in doc["components"]]
+
+
 def test_hypothesis2_constant_denominator_shortcut():
-    established, route, exact, gcd = hypothesis2(circle_param(), 1)
-    assert established and route == "constant-denominator"
-    assert exact is None and gcd is None
+    # the constant generator answers before any basis run
+    assert condition2_locus(circle_param(), 1) == Condition2Locus("empty", (ONE,))
+    doc = surjectivity_json(check_surjective(circle_param()), circle_param())
+    first = doc["components"][0]
+    assert first["hyp2_established"] and first["hyp2_route"] == "constant-denominator"
+    assert first["hyp2_exact"] is None and first["hyp2_gcd"] is None
 
 
 def test_hypothesis2_exact_route_decides_both_ways():
     tw = tower_sqrt_t()
     good = param_of(tw, [(t - 1, t + 1)])
-    established, route, exact, _ = hypothesis2(good, 1)
-    assert established and route == "exact" and exact is True
+    assert condition2_locus(good, 1).classification == "empty"
+    assert hyp2_fields(good) == [(True, "exact", True)]
     # t = 1, d1 = 1 is a common zero of numerator and denominator here
     bad = param_of(tw, [(t - 1, d1 - 1)])
-    established, route, exact, _ = hypothesis2(bad, 1)
-    assert not established and route is None and exact is False
+    assert condition2_locus(bad, 1).classification == "finite"
+    assert hyp2_fields(bad) == [(False, None, False)]
 
 
 def common_zero_param():
@@ -190,10 +202,11 @@ def test_unit_h_decides_exactly_within_one_step():
     # h = gcd(t^2 + t + 2, (t - 1)^2 mod (t^2 + t + 2)) = 1 after one
     # division step: the ideal is trivial without a basis run
     param = param_of(tower_sqrt_t(), [(t - 1, t**2 + t + 2)])
-    assert hypothesis2(param, 1, step_budget=1) == (True, "exact", True, None)
+    assert condition2_locus(param, 1, step_budget=1) == Condition2Locus("empty", (ONE,))
+    assert hyp2_fields(param, step_budget=1) == [(True, "exact", True)]
 
 
-def test_exhausted_budget_builds_h_once_and_raises(monkeypatch):
+def test_exhausted_budget_builds_h_once_and_gives_unknown(monkeypatch):
     # the division runs out at budget 0 and the basis after h's one
     # division step at budget 1; neither builds h a second time
     divisions = []
@@ -206,24 +219,23 @@ def test_exhausted_budget_builds_h_once_and_raises(monkeypatch):
     monkeypatch.setattr(surjcheck, "poly_divmod", counted)
     for budget in (0, 1):
         divisions.clear()
-        with pytest.raises(ResourceError):
-            hypothesis2(common_zero_param(), 1, budget)
+        assert condition2_locus(common_zero_param(), 1, budget) == Condition2Locus("unknown", None)
         assert len(divisions) == 1
 
 
-def test_hypothesis2_exact_strategy_propagates_budget_error():
+def test_hypothesis2_exhausted_budget_leaves_route_and_exact_null():
     for budget in (0, 1):  # the division runs out, then the basis
-        with pytest.raises(ResourceError):
-            hypothesis2(common_zero_param(), 1, step_budget=budget)
-    assert hypothesis2(common_zero_param(), 1) == (False, None, False, None)
+        report = check_surjective(common_zero_param(), step_budget=budget)
+        assert "component 1: hypothesis-2 step budget exhausted" in report.notes
+        assert hyp2_fields(common_zero_param(), budget) == [(False, None, None)]
+    assert hyp2_fields(common_zero_param()) == [(False, None, False)]
 
 
 def test_h_division_spends_the_step_budget():
     # R(p) = t^10000 mod t^2 + 1 takes 5000 division steps
     param = param_of(tower_sqrt_t(), [(t**5000, t**2 + 1)])
-    with pytest.raises(ResourceError):
-        hypothesis2(param, 1, step_budget=4999)
-    assert hypothesis2(param, 1, step_budget=5000) == (True, "exact", True, None)
+    assert condition2_locus(param, 1, step_budget=4999) == Condition2Locus("unknown", None)
+    assert condition2_locus(param, 1, step_budget=5000) == Condition2Locus("empty", (ONE,))
 
 
 def test_h_from_powers_of_t_equals_gcd_of_r_and_s():
@@ -273,7 +285,7 @@ def test_zero_divisor_denominator_keeps_gcd_of_r_and_rp():
         param = param_of(tw, [(p, d1 - t)])
         assert (param.common_zero_ideal(1)[0][-1] == 1) is unit
         for strategy in ("exact", "auto"):
-            assert hypothesis2(param, 1) == hypothesis2_ref(param, 1, strategy)
+            assert hyp2_fields(param) == [hypothesis2_ref(param, 1, strategy)[:3]]
 
 
 def test_hypothesis2_zero_numerator_uses_denominator_only():
@@ -284,10 +296,10 @@ def test_hypothesis2_zero_numerator_uses_denominator_only():
     zero = MultiPoly.zero(TD1)
     for q in (d1, t - 1):
         param = param_of(tw, [(zero, q)])
-        established, route, exact, _ = hypothesis2(param, 1)
-        assert not established and route is None and exact is False
-    established, route, _, _ = hypothesis2(param_of(tw, [(zero, ONE + ONE)]), 1)
-    assert established and route == "constant-denominator"
+        assert condition2_locus(param, 1).classification in ("finite", "positive-dimensional")
+        assert hyp2_fields(param) == [(False, None, False)]
+    constant = param_of(tw, [(zero, ONE + ONE)])
+    assert hyp2_fields(constant) == [(True, "constant-denominator", None)]
 
 
 def test_hypothesis2_routes_agree_on_random_instances():
@@ -301,7 +313,7 @@ def test_hypothesis2_routes_agree_on_random_instances():
         except InputError:
             continue
         est_gcd, _, _, gcd_res = hypothesis2_ref(param, 1, "gcd")
-        est_exact, _, exact_res, _ = hypothesis2(param, 1)
+        [(est_exact, _, exact_res)] = hyp2_fields(param)
         if gcd_res is True:
             # a gcd certificate implies that the exact decision establishes
             assert est_exact
@@ -347,10 +359,12 @@ def test_h_lies_in_the_common_zero_ideal_and_changes_no_answer():
     # h joins the generators: same kind and reduced basis as without
     # it, h reduces to zero modulo that basis (so a unit h soundly
     # proves the ideal trivial), it is gcd(R(p), r) up to a constant,
-    # and hypothesis 2 answers as the exact and auto strategies did before h
+    # and the check report answers hypothesis 2 as the exact and auto
+    # strategies did before h
     kinds, units, seen = set(), 0, 0
     for param in _h_corpus():
         order = TermOrder.grevlex(param.tower.table)
+        fields = hyp2_fields(param)
         for i, comp in enumerate(param.components, start=1):
             q = comp.denominator
             if q.is_const():
@@ -367,7 +381,7 @@ def test_h_lies_in_the_common_zero_ideal_and_changes_no_answer():
                 want = sympy.gcd(to_sympy(normalized_remainder(comp.numerator, param.tower)), to_sympy(r))
                 assert sympy.cancel(to_sympy(h) / want).is_number
             for strategy in ("exact", "auto"):  # auto decides by the exact route here
-                assert hypothesis2(param, i) == hypothesis2_ref(param, i, strategy)
+                assert fields[i - 1] == hypothesis2_ref(param, i, strategy)[:3]
             kinds.add(kind)
             units += h == 1
             seen += 1
@@ -421,7 +435,7 @@ def test_unit_h_needs_no_basis(monkeypatch):
         raise AssertionError("a unit h must decide before any basis run")
 
     monkeypatch.setattr("radsurj.ideal.buchberger", refuse)
-    assert hypothesis2(parse(CHECK_020), 1) == (True, "exact", True, None)
+    assert condition2_locus(parse(CHECK_020), 1) == Condition2Locus("empty", (1,))
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +448,7 @@ def test_circle_radical_param_is_certified_cor_pol():
     assert report.verdict == "CERTIFIED_SURJECTIVE"
     assert report.witness_index == 1
     assert report.certificate_path == "polynomial-components"
-    assert all(c.hyp2_established for c in report.components)
+    assert all(c.locus.classification == "empty" for c in report.components)
 
 
 def test_rational_circle_param_is_inconclusive():
@@ -446,7 +460,7 @@ def test_rational_circle_param_is_inconclusive():
     assert report.certificate_path is None
     assert any("degree condition" in n for n in report.notes)
     # hypothesis 2 is still evaluated and holds for both components
-    assert all(c.hyp2_established for c in report.components)
+    assert all(c.locus.classification == "empty" for c in report.components)
 
 
 def test_guilty_numerator_blocks_certification():
