@@ -20,16 +20,21 @@ kernel multiplies and accumulates on those int maps and converts back
 to Fractions only at the end, keeping the key order of the loop on
 exponent tuples.  tower.tower_norm runs its whole determinant expansion
 on the same packed form.
+
+Remainders run on a second packing, one int per monomial that compares
+as a TermOrder does and shifts and tests divisibility by integer
+operations.  reduce_full is the one reduction loop on it: poly_divmod,
+tower.normal_form and ideal.buchberger all run it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, ResourceError, StructuralError
 
@@ -538,56 +543,191 @@ def leading_form(f: MultiPoly, wv: WeightVector) -> MultiPoly:
 
 
 # ----------------------------------------------------------------------
-# exact division
+# term orders and reduction on packed order keys
+
+_FIELD = (1 << 32) - 1
+Terms = dict[int, Fraction]  # packed key -> coefficient
+Lead = tuple[Exponent, int, Fraction, int]  # exponent, key, coefficient, divisor mask
 
 
-def _sub_monomial_multiple(
-    acc: dict[Exponent, Fraction], g: MultiPoly, lead: Exponent, expo: Exponent, q: Fraction
-) -> None:
-    """acc -= q * x^(expo - lead) * g in place, skipping g's lead term,
-    which the caller has already cancelled.  Keys keep their places and
-    new ones follow in g's order, as in the polynomial difference."""
-    shift = tuple(map(sub, expo, lead))
-    for e, c in g.coeffs.items():
-        if e == lead:
+@dataclass(frozen=True)
+class TermOrder:
+    """Grevlex on an eliminated block of variables, then grevlex on the rest.
+
+    priority lists variable indices from most to least significant; the
+    first `split` entries form the eliminated block, so split 0 is plain
+    grevlex.  key(e) packs e into one int that compares as the order
+    does: 32-bit fields, most significant first, holding for each block
+    its degree, then CAP - e[v] for its variables, least significant
+    first.  The top bit of each field is a guard, clear in every key;
+    key raises ResourceError when a block degree exceeds CAP.  Keys are
+    affine, key(a + b) = key(a) + key(b) - key(0), and with masks =
+    (emask, eguard, guards), a divides b exactly when every eguard bit
+    survives ((key(a) & emask) | eguard) - (key(b) & emask).  key,
+    unpack (its inverse) and masks are built once, at construction.
+    """
+
+    table: VarTable
+    priority: tuple[int, ...]
+    split: int = 0
+    key: Callable[[Exponent], int] = field(init=False, repr=False, compare=False)
+    unpack: Callable[[int], Exponent] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if sorted(self.priority) != list(range(self.table.arity)):
+            raise StructuralError("order priority must be a permutation of the variables")
+        if not 0 <= self.split <= len(self.priority):
+            raise StructuralError("block split out of range")
+        blocks = [b for b in (self.priority[: self.split], self.priority[self.split :]) if b]
+        shifts, weights, pos = [0] * self.table.arity, [0] * self.table.arity, 0
+        for blk in reversed(blocks):  # least significant field first
+            top = pos + 32 * len(blk)  # the block degree's field
+            for v, p in zip(blk, range(pos, top, 32)):
+                shifts[v], weights[v] = p, (1 << top) - (1 << p)
+            pos = top + 32
+        base = sum(CAP << s for s in shifts)
+        emask = sum(_FIELD << s for s in shifts)
+        guards = sum(1 << p for p in range(31, pos, 32))
+
+        def key(e: Exponent) -> int:
+            if sum(e) > CAP and any(sum(e[v] for v in b) > CAP for b in blocks):
+                raise ResourceError("exponent too large for a packed monomial key")
+            return base + sum(map(mul, e, weights))
+
+        def unpack(k: int) -> Exponent:
+            return tuple(CAP - ((k >> s) & _FIELD) for s in shifts)
+
+        for name, value in (("key", key), ("unpack", unpack), ("masks", (emask, guards & emask, guards))):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def grevlex(table: VarTable) -> "TermOrder":
+        """Last table variable most significant, parameter last."""
+        return TermOrder(table, tuple(reversed(range(table.arity))))
+
+    @staticmethod
+    def block(table: VarTable, eliminate: Sequence[str], keep: Sequence[str]) -> "TermOrder":
+        if sorted((*eliminate, *keep)) != sorted(table.names):
+            raise StructuralError("block order must partition the variable table")
+        prio = tuple(table.index(n) for n in (*eliminate, *keep))
+        return TermOrder(table, prio, split=len(eliminate))
+
+    def leading(self, f: MultiPoly) -> tuple[Exponent, Fraction]:
+        if f.is_zero():
+            raise DomainError("zero polynomial has no leading term")
+        expo = max(f.coeffs, key=self.key)
+        return expo, f.coeffs[expo]
+
+    def pack(self, f: MultiPoly) -> Terms:
+        """f's term map keyed by packed order keys."""
+        return {self.key(e): c for e, c in f.coeffs.items()}
+
+    def poly(self, terms: Terms) -> MultiPoly:
+        """The polynomial of a packed term map, in the map's key order."""
+        return MultiPoly._raw(self.table, {self.unpack(k): c for k, c in terms.items()})
+
+    def lead(self, f: Terms) -> Lead:
+        """Leading exponent, key, coefficient and divisor mask of nonzero f."""
+        k = max(f)
+        return self.unpack(k), k, f[k], (k & self.masks[0]) | self.masks[1]
+
+
+class Budget:
+    """Reduction steps left; spending past zero raises ResourceError."""
+
+    def __init__(self, limit: float, what: str = "Groebner"):
+        self.remaining = limit
+        self.what = what
+
+    def spend(self) -> None:
+        self.remaining -= 1
+        if self.remaining < 0:
+            raise ResourceError(f"{self.what} step budget exhausted")
+
+
+def _sub_shifted(acc: Terms, g: Terms, lead: int, shift: int, q: Fraction, guards: int) -> None:
+    """acc -= q * x^s * g in place, skipping g's lead term, which the
+    caller has already cancelled; shift = key(s) - key(0).  Keys keep
+    their places and new ones follow in g's order."""
+    for k, c in g.items():
+        if k == lead:
             continue
-        key = tuple(map(add, e, shift))
-        v = acc.get(key, 0) - q * c
+        k += shift
+        if k & guards:
+            raise ResourceError("exponent too large for a packed monomial key")
+        v = acc.get(k, 0) - q * c
         if v:
-            acc[key] = v
+            acc[k] = v
         else:
-            del acc[key]
+            del acc[k]
+
+
+def reduce_full(
+    f: Terms, basis: Sequence[Terms], leads: Sequence[Lead], order: TermOrder, budget: Budget, quot: Terms | None = None
+) -> Terms:
+    """Fully reduce f: no remaining monomial divisible by a basis lead.
+
+    The tail's leading term is reduced by the first basis element whose
+    lead divides it, one budget step each, or else moved to the result.
+    With one divisor, quot collects each step's multiplier q at the key
+    shift key(s) - key(0) of its monomial x^s.
+    """
+    emask, eguard, guards = order.masks
+    tail = dict(f)
+    done: Terms = {}
+    while tail:
+        k = max(tail)
+        c = tail.pop(k)
+        m = k & emask
+        for g, (_, lk, lc, mask) in zip(basis, leads):
+            if (mask - m) & eguard == eguard:
+                budget.spend()
+                q = c / lc
+                if quot is not None:
+                    quot[k - lk] = q
+                _sub_shifted(tail, g, lk, k - lk, q, guards)
+                break
+        else:
+            done[k] = c
+    return done
+
+
+def spoly(f: Terms, f_lead: Lead, g: Terms, g_lead: Lead, order: TermOrder) -> Terms:
+    """lcm/lt(f) * f - lcm/lt(g) * g; the two lead terms cancel."""
+    (fe, fk, fc, _), (ge, gk, gc, _) = f_lead, g_lead
+    lcm, guards = order.key(tuple(map(max, fe, ge))), order.masks[2]
+    acc: Terms = {}
+    _sub_shifted(acc, f, fk, lcm - fk, -1 / fc, guards)
+    _sub_shifted(acc, g, gk, lcm - gk, 1 / gc, guards)
+    return acc
+
+
+# ----------------------------------------------------------------------
+# exact division
 
 
 def poly_divmod(
     f: MultiPoly, g: MultiPoly, step_budget: int | None = None
 ) -> tuple[MultiPoly, MultiPoly]:
-    """Quotient and remainder of f by g's graded lex leading term.
+    """Quotient and remainder of f by g under grevlex.
 
-    f = quot * g + rem, and g's leading monomial divides no term of
-    rem; in one variable this is the usual division over Q.  Each step
-    adds one term to the quotient; a step past step_budget (None: no
-    limit) raises ResourceError.
+    f = quot * g + rem, and g's grevlex leading monomial divides no
+    term of rem; in one variable this is the usual division over Q, and
+    an exact quotient is the same under every order.  Each step adds
+    one term to the quotient; a step past step_budget (None: no limit)
+    raises ResourceError.
     """
     f._check(g)
     if g.is_zero():
         raise DomainError("division by the zero polynomial")
-    g_expo, g_coeff = g.leading_term()
-    quot: dict[Exponent, Fraction] = {}
-    rem: dict[Exponent, Fraction] = {}
-    tail = dict(f.coeffs)
-    while tail:
-        r_expo = max(tail, key=_grlex_key)
-        c = tail.pop(r_expo)
-        diff = tuple(map(sub, r_expo, g_expo))
-        if any(k < 0 for k in diff):
-            rem[r_expo] = c
-            continue
-        if step_budget is not None and len(quot) >= step_budget:
-            raise ResourceError("division step budget exhausted")
-        c = quot[diff] = c / g_coeff
-        _sub_monomial_multiple(tail, g, g_expo, r_expo, c)
-    return MultiPoly._raw(f.table, quot), MultiPoly._raw(f.table, rem)
+    order = TermOrder.grevlex(f.table)
+    gk = order.pack(g)
+    quot: Terms = {}
+    budget = Budget(math.inf if step_budget is None else step_budget, "division")
+    rem = reduce_full(order.pack(f), [gk], [order.lead(gk)], order, budget, quot)
+    zero = order.key((0,) * f.table.arity)
+    return order.poly({s + zero: q for s, q in quot.items()}), order.poly(rem)
 
 
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import MultiPoly, Role, VarTable, content_wrt, exact_div, squarefree_part
+from .arith import MultiPoly, Role, VarTable, content_wrt, exact_div, poly_gcd, squarefree_part
 from .errors import ResourceError
 from .ideal import DEFAULT_STEP_BUDGET, elimination_ideal
 from .sampler import complex_roots, scaled_residuals
@@ -168,7 +168,11 @@ def candidate_polys(param: RadicalParametrization) -> CandidatePolySet:
         if exact is None:  # sound: the candidates come from the numeric roots anyway
             skipped = "rational root sieve skipped, coefficients too large"
             exact, note = [], skipped if note is None else f"{note}; {skipped}"
-        numeric = complex_roots([complex(c) for c in coeffs])
+        # the root iteration does not converge on repeated roots, so it
+        # runs on the squarefree lead; a squarefree lead goes as it is
+        rad = poly_gcd(lead, lead.derivative(x_idx))
+        simple = lead if rad.is_const() else exact_div(lead, rad)
+        numeric = complex_roots([complex(c.const_value()) for c in simple.univariate_coeffs(x_idx)])
         reps: dict[tuple[float, float], complex] = {}
         for z in numeric:
             near = [r for r in exact if abs(z - complex(r)) <= 1e-6]

@@ -154,7 +154,8 @@ def sample_json(report: SampleReport, verdicts: Sequence[CandidateVerdict]) -> d
                 "candidate": _point(v.candidate),
                 "verdict": v.verdict,
                 "parameter": None if v.parameter is None else _cplx(v.parameter),
-                "distance": v.distance,
+                # inf when no cloud point was accepted, which JSON cannot hold
+                "distance": None if math.isinf(v.distance) else v.distance,
             }
             for v in verdicts
         ],

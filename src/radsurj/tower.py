@@ -7,7 +7,8 @@ g_i may mention t and the earlier radicals only.  This module provides
   * validation and weight assignment (the weight of a radical is the
     weighted degree of its radicand divided by its exponent, so that
     Delta_i^e_i and g_i weigh the same),
-  * the normal form N(f), reducing every radical exponent below e_i,
+  * the normal form N(f), reducing every radical exponent below e_i
+    by one arith.reduce_full per level,
   * the normalized remainder R(f), the univariate polynomial obtained
     by eliminating the radicals one level at a time: each step is a
     tower norm (the resultant against the monic tower polynomial),
@@ -25,16 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import inf, prod
 from typing import Sequence
 
 from .arith import (
+    Budget,
     MultiPoly,
     Role,
+    TermOrder,
     VarTable,
     WeightVector,
     binomial_norm,
     leading_form,
+    reduce_full,
     weighted_degree,
 )
 from .errors import DomainError, InputError, StructuralError
@@ -122,8 +126,8 @@ class RadicalTower:
     def level_poly(self, i: int, table: VarTable | None = None) -> MultiPoly:
         """The tower polynomial Delta_i^e_i - g_i, optionally transported."""
         level = self.levels[i]
-        var = MultiPoly.var(self.table, level.name)
-        e = var ** level.exponent - level.radicand
+        expo = tuple(level.exponent if n == level.name else 0 for n in self.table.names)
+        e = MultiPoly.monomial(self.table, expo) - level.radicand
         return e if table is None or table == self.table else e.transport(table)
 
     def check_table(self, table: VarTable) -> None:
@@ -169,28 +173,20 @@ class RadicalTower:
 def normal_form(f: MultiPoly, tower: RadicalTower) -> MultiPoly:
     """Reduce every radical exponent below its level exponent.
 
-    One downward pass suffices: substituting at level i only introduces
-    powers of earlier radicals, which later iterations clean up.
+    From the top level down, f is reduced modulo Delta_i^e_i - g_i under
+    the block order that puts Delta_i first, where Delta_i^e_i leads
+    because g_i has no Delta_i.  Reducing at level i only introduces
+    powers of earlier radicals, which later levels clean up.
     """
     tower.check_table(f.table)
+    names = f.table.names
     for i in reversed(range(tower.m)):
         level = tower.levels[i]
-        var = f.table.index(level.name)
-        e = level.exponent
-        if f.degree(var) < e:
+        if f.degree(names.index(level.name)) < level.exponent:
             continue
-        g = level.radicand if f.table == tower.table else level.radicand.transport(f.table)
-        delta = MultiPoly.var(f.table, level.name)
-        gpow = {0: MultiPoly.one(f.table)}
-        out = MultiPoly.zero(f.table)
-        for k, c in enumerate(f.univariate_coeffs(var)):
-            if c.is_zero():
-                continue
-            q, r = divmod(k, e)
-            if q not in gpow:
-                gpow[q] = gpow[max(gpow)] * g ** (q - max(gpow))
-            out = out + c * gpow[q] * delta**r
-        f = out
+        order = TermOrder.block(f.table, [level.name], [n for n in names if n != level.name])
+        g = order.pack(tower.level_poly(i, f.table))
+        f = order.poly(reduce_full(order.pack(f), [g], [order.lead(g)], order, Budget(inf)))
     return f
 
 

@@ -7,7 +7,9 @@ built from it, Sylvester determinant, sign-product conjugation, the
 product on exponent tuples and Fractions, the tower norm expanded on
 Fraction polynomials, single-level fast guilt, exact and uncached
 complex evaluation, the image cloud one point at a time, division and
-Groebner reduction on immutable polynomials, the term order key that
+Groebner reduction on immutable polynomials, division with remainder
+on exponent tuples under graded lex, the tower normal form by
+substitution, the term order key that
 dispatched on each call, Buchberger on exponent tuples, the primitive
 PRS gcd that kept each remainder's rational scalar, hypothesis 2 on
 the common-zero ideal without the resultant gcd h) are second
@@ -16,23 +18,30 @@ implementations that the tests compare the package against.
 
 import heapq
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import sympy
 
+import radsurj
+
 from radsurj.arith import (
+    Budget,
     MultiPoly,
     Role,
+    TermOrder,
     VarTable,
-    _sub_monomial_multiple,
     _unit_normalize,
     exact_div,
     poly_gcd,
     prem,
 )
 from radsurj.errors import DomainError, InputError, RadsurjError, ResourceError, StructuralError
-from radsurj.ideal import DEFAULT_STEP_BUDGET, _Budget, common_zeros
+from radsurj.ideal import DEFAULT_STEP_BUDGET, common_zeros
 from radsurj.sampler import (
     DEFAULT_BRANCH_TOL,
     BranchPoint,
@@ -41,6 +50,16 @@ from radsurj.sampler import (
     enumerate_branches,
 )
 from radsurj.tower import RadicalTower, normal_form, normalized_remainder
+
+
+def run_child(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """Run this interpreter with args in a child process, text output
+    captured; PYTHONPATH names only the directory the tests import the
+    package from, so the child finds it without an install."""
+    src = str(Path(radsurj.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
+
 
 T_ONLY = VarTable(("t",), (Role.PARAMETER,))
 TD1 = VarTable(("t", "d1"), (Role.PARAMETER, Role.RADICAL))
@@ -311,7 +330,8 @@ def exact_div_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """arith.exact_div with a new remainder polynomial per step.
 
     The loop the package ran before it subtracted in one mutable term
-    map; same steps, so quotients agree down to their term order.
+    map; same steps, the tail's lead chosen by the grevlex key, so
+    quotients agree down to their term order.
     """
     f._check(g)
     if g.is_zero():
@@ -320,11 +340,12 @@ def exact_div_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f
     if g.is_const():
         return f * (1 / g.const_value())
-    g_expo, g_coeff = g.leading_term()
+    order = TermOrder.grevlex(f.table)
+    g_expo, g_coeff = order.leading(g)
     quot = {}
     rem = f
     while not rem.is_zero():
-        r_expo, r_coeff = rem.leading_term()
+        r_expo, r_coeff = order.leading(rem)
         diff = tuple(a - b for a, b in zip(r_expo, g_expo))
         if any(k < 0 for k in diff):
             raise DomainError("division is not exact")
@@ -334,8 +355,65 @@ def exact_div_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(f.table, quot)
 
 
+def _sub_monomial_multiple(acc: dict, g: MultiPoly, lead, expo, q: Fraction) -> None:
+    """acc -= q * x^(expo - lead) * g in place on exponent tuples,
+    skipping g's lead term, which the caller has already cancelled."""
+    shift = tuple(a - b for a, b in zip(expo, lead))
+    for e, c in g.coeffs.items():
+        if e == lead:
+            continue
+        key = tuple(a + b for a, b in zip(e, shift))
+        v = acc.get(key, 0) - q * c
+        if v:
+            acc[key] = v
+        else:
+            del acc[key]
+
+
+def poly_divmod_ref(f: MultiPoly, g: MultiPoly, step_budget=None):
+    """arith.poly_divmod as it was before it ran on packed keys: exponent
+    tuples, the tail's lead chosen by graded lex, one step per
+    quotient term."""
+    f._check(g)
+    if g.is_zero():
+        raise DomainError("division by the zero polynomial")
+    g_expo, g_coeff = g.leading_term()
+    quot, rem, tail = {}, {}, dict(f.coeffs)
+    while tail:
+        r_expo = max(tail, key=lambda e: (sum(e), e))
+        c = tail.pop(r_expo)
+        diff = tuple(a - b for a, b in zip(r_expo, g_expo))
+        if any(k < 0 for k in diff):
+            rem[r_expo] = c
+            continue
+        if step_budget is not None and len(quot) >= step_budget:
+            raise ResourceError("division step budget exhausted")
+        c = quot[diff] = c / g_coeff
+        _sub_monomial_multiple(tail, g, g_expo, r_expo, c)
+    return MultiPoly(f.table, quot), MultiPoly(f.table, rem)
+
+
+def normal_form_ref(f: MultiPoly, tower: RadicalTower) -> MultiPoly:
+    """tower.normal_form as it was, by substitution: from the top level
+    down, each power Delta^k becomes g^(k // e) * Delta^(k % e)."""
+    tower.check_table(f.table)
+    for i in reversed(range(tower.m)):
+        level = tower.levels[i]
+        var = f.table.index(level.name)
+        e = level.exponent
+        if f.degree(var) < e:
+            continue
+        g = level.radicand.transport(f.table)
+        delta = MultiPoly.var(f.table, level.name)
+        out = MultiPoly.zero(f.table)
+        for k, c in enumerate(f.univariate_coeffs(var)):
+            out = out + c * g ** (k // e) * delta ** (k % e)
+        f = out
+    return f
+
+
 def term_order_key_ref(order, expo):
-    """ideal.TermOrder.key as it was before it was built once per order:
+    """arith.TermOrder.key as it was before it was built once per order:
     the block slices and the split-0 test are redone on every call."""
     if order.split == 0:
         return (sum(expo), tuple(-expo[v] for v in reversed(order.priority)))
@@ -350,7 +428,7 @@ def term_order_key_ref(order, expo):
 
 
 def reduce_full_ref(f: MultiPoly, basis, order, budget) -> MultiPoly:
-    """ideal._reduce_full with leads recomputed and a new tail per step.
+    """arith.reduce_full with leads recomputed and a new tail per step.
 
     Same selection rule (the tail's leading term, then the first basis
     element whose lead divides it) and one budget step per reduction.
@@ -373,21 +451,12 @@ def reduce_full_ref(f: MultiPoly, basis, order, budget) -> MultiPoly:
     return MultiPoly(table, done)
 
 
-def pack_terms(order, f: MultiPoly) -> dict:
-    """f's term map keyed by packed order keys, as ideal.buchberger holds it."""
-    return {order.key(e): c for e, c in f.coeffs.items()}
-
-
-def unpack_terms(order, terms: dict) -> MultiPoly:
-    return MultiPoly._raw(order.table, {order.unpack(k): c for k, c in terms.items()})
-
-
 def divides_ref(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
 def _reduce_full_tuple_ref(f: MultiPoly, basis, leads, key, budget) -> MultiPoly:
-    """ideal._reduce_full as it was on exponent tuples: the tail's
+    """arith.reduce_full as it was on exponent tuples: the tail's
     leading term found by a key function, divisibility by a generator."""
     tail = dict(f.coeffs)
     done = {}
@@ -405,7 +474,7 @@ def _reduce_full_tuple_ref(f: MultiPoly, basis, leads, key, budget) -> MultiPoly
 
 
 def spoly_ref(f: MultiPoly, f_lead, g: MultiPoly, g_lead) -> MultiPoly:
-    """ideal._spoly as it was on exponent tuples."""
+    """arith.spoly as it was on exponent tuples."""
     (fe, fc), (ge, gc) = f_lead, g_lead
     lcm = tuple(map(max, fe, ge))
     acc = {}
@@ -426,7 +495,7 @@ def buchberger_ref(gens, order, step_budget: int) -> tuple[MultiPoly, ...]:
         expo = max(f.coeffs, key=key)
         return expo, f.coeffs[expo]
 
-    budget = _Budget(step_budget)
+    budget = Budget(step_budget)
     basis, leads, pairs = [], [], []
 
     def add(r):

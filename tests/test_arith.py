@@ -6,10 +6,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radsurj import arith
 from radsurj.arith import (
     NEG_INF,
     MultiPoly,
     Role,
+    TermOrder,
     VarTable,
     WeightVector,
     exact_div,
@@ -21,6 +23,8 @@ from radsurj.arith import (
     weighted_degree,
 )
 from radsurj.errors import DomainError, ResourceError, StructuralError
+from radsurj.ideal import buchberger
+from radsurj.tower import RadicalLevel, RadicalTower, normal_form
 
 from support import (
     TD1,
@@ -30,6 +34,7 @@ from support import (
     eval_complex_ref,
     exact_div_ref,
     mul_ref,
+    poly_divmod_ref,
     poly_gcd_ref,
     random_nonzero_poly,
     random_poly,
@@ -255,8 +260,54 @@ def test_poly_divmod_remainder_escapes_the_leading_monomial():
         g = random_nonzero_poly(rng, TD12, max_exp=2, max_terms=3)
         quot, rem = poly_divmod(f, g)
         assert quot * g + rem == f
-        lead = g.leading_term()[0]
+        lead = TermOrder.grevlex(TD12).leading(g)[0]
         assert not any(all(map(int.__le__, lead, e)) for e in rem.coeffs)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ResourceError:
+        return "exhausted"
+
+
+def test_poly_divmod_matches_tuple_reference():
+    # exact quotients in three variables, and quotient and remainder in
+    # one, agree with the graded lex division on exponent tuples, budget
+    # steps included
+    rng = Random(2612)
+    exhausted = 0
+    for _ in range(60):
+        g = random_nonzero_poly(rng, TD12, max_exp=2, max_terms=3)
+        f = random_poly(rng, TD12, max_exp=3, max_terms=4) * g
+        quot, rem = poly_divmod(f, g)
+        assert (quot, rem) == poly_divmod_ref(f, g) and rem.is_zero()
+        f = random_poly(rng, T_ONLY, max_exp=9, max_terms=6)
+        g = random_nonzero_poly(rng, T_ONLY, max_exp=4, max_terms=3)
+        limit = rng.choice([None, rng.randint(0, 6)])
+        want = _outcome(lambda: poly_divmod_ref(f, g, limit))
+        assert _outcome(lambda: poly_divmod(f, g, limit)) == want
+        exhausted += want == "exhausted"
+    assert 0 < exhausted < 60
+
+
+def test_division_normal_form_and_buchberger_share_one_reduction_step(monkeypatch):
+    real, calls = arith._sub_shifted, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(arith, "_sub_shifted", counted)
+    tower = RadicalTower(TD1, [RadicalLevel("d1", 2, t + 1)])
+    for run in (
+        lambda: exact_div(t**2 - d1**2, t - d1),
+        lambda: normal_form(d1**3, tower),
+        lambda: buchberger([d1**2 - t, t * d1 - 1], TermOrder.grevlex(TD1)),
+    ):
+        calls.clear()
+        run()
+        assert calls
 
 
 def test_poly_divmod_spends_one_step_per_quotient_term():

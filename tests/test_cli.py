@@ -4,8 +4,6 @@ import argparse
 import json
 import re
 import resource
-import subprocess
-import sys
 from pathlib import Path
 from random import Random
 
@@ -14,6 +12,8 @@ from jsonschema import Draft7Validator, ValidationError
 
 from radsurj import cli
 from radsurj.errors import DomainError, StructuralError
+
+from support import run_child
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -232,6 +232,20 @@ def test_sample_payload(capsys):
     validate(doc)
 
 
+def test_sample_with_an_empty_cloud_reports_null_distance(tmp_path, capsys):
+    # every default sample is rejected, so no cloud point is near the
+    # candidate: its distance was inf, which ended in a JSON traceback
+    empty = tmp_path / "empty.rs"
+    empty.write_text("tower { } param { x = 1 / (1/100000000000000000000*t); }")
+    for args in (["sample", str(empty)], ["sample", str(DATA / "rational_circle.rs"), "--tol", "1e300"]):
+        code, doc, _ = run(args + ["--stable"], capsys)
+        assert code == 0
+        validate(doc)
+        s = doc["sample"]
+        assert s["accepted"] == 0
+        assert [(c["verdict"], c["distance"]) for c in s["candidates"]] == [("likely-missing", None)]
+
+
 def test_sample_csv(tmp_path, capsys):
     out = tmp_path / "cloud.csv"
     code, doc, _ = run(
@@ -369,12 +383,7 @@ def test_huge_coefficients_skip_the_rational_root_sieve(tmp_path):
     huge.write_text(
         "tower { } param { x = t^2 / (1000000000000000000000000000057*t^2 + 1); y = t; }"
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "radsurj.cli", "missing", str(huge), "--stable"],
-        capture_output=True,
-        text=True,
-        timeout=20,
-    )
+    proc = run_child(["-m", "radsurj.cli", "missing", str(huge), "--stable"], timeout=20)
     assert proc.returncode == 0
     x = json.loads(proc.stdout)["missing"]["coordinate_polys"][0]
     assert x["lead_coeff"] == "1000000000000000000000000000057*x - 1"
@@ -395,12 +404,7 @@ def test_gcd_route_on_a_radical_tower_finishes(tmp_path):
         "        y = -t^4*d1*d2^2 - 4*t^4*d1 + 3*t^2*d1*d2 - 2*t^2; }\n"
         "settings { mode = suspicious; }\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "radsurj.cli", "check", str(src), "--stable"],
-        capture_output=True,
-        text=True,
-        timeout=20,
-    )
+    proc = run_child(["-m", "radsurj.cli", "check", str(src), "--stable"], timeout=20)
     assert proc.returncode == 3
     doc = json.loads(proc.stdout)
     validate(doc)
@@ -418,12 +422,7 @@ def test_resultant_gcd_is_bounded(tmp_path):
     # in a child process so a regression fails on the timeout
     src = tmp_path / "huge_degree.rs"
     src.write_text("tower { d^2 = t; } param { x = t^2147483648 / (t^2 + 1); y = d; }")
-    proc = subprocess.run(
-        [sys.executable, "-m", "radsurj.cli", "check", str(src), "--stable"],
-        capture_output=True,
-        text=True,
-        timeout=20,
-    )
+    proc = run_child(["-m", "radsurj.cli", "check", str(src), "--stable"], timeout=20)
     assert proc.returncode == 3
     notes = json.loads(proc.stdout)["surjectivity"]["notes"]
     assert "component 1: hypothesis-2 step budget exhausted" in notes
@@ -441,10 +440,8 @@ def test_dense_coefficients_past_cap_exit_four(command, tmp_path):
     # the host's memory, and the timeout catches a slow one
     src = tmp_path / "huge_degree.rs"
     src.write_text("tower { d^2 = t; } param { x = t^2147483648 / (t^2 + 1); y = d; }")
-    proc = subprocess.run(
-        [sys.executable, "-m", "radsurj.cli", command, str(src), "--stable"],
-        capture_output=True,
-        text=True,
+    proc = run_child(
+        ["-m", "radsurj.cli", command, str(src), "--stable"],
         timeout=20,
         preexec_fn=_cap_address_space,
     )
@@ -539,10 +536,6 @@ def test_golden_byte_stability(golden, args, capsys):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "radsurj.cli", "check", str(DATA / "circle.rs"), "--stable"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_child(["-m", "radsurj.cli", "check", str(DATA / "circle.rs"), "--stable"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["surjectivity"]["verdict"] == "CERTIFIED_SURJECTIVE"

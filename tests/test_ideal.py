@@ -6,28 +6,20 @@ from random import Random
 import pytest
 import sympy
 
-from radsurj.arith import MultiPoly, Role, VarTable
+from radsurj.arith import CAP, Budget, MultiPoly, Role, TermOrder, VarTable, reduce_full, spoly
 from radsurj.errors import ResourceError, StructuralError
-from radsurj.ideal import (
-    CAP,
-    TermOrder,
-    buchberger,
-    common_zeros,
-    elimination_ideal,
-)
+from radsurj.ideal import buchberger, common_zeros, elimination_ideal
 
 from support import (
     TD1,
     TD12,
     buchberger_ref,
     divides_ref,
-    pack_terms,
     random_nonzero_poly,
     random_poly,
     reduce_full_ref,
     term_order_key_ref,
     to_sympy,
-    unpack_terms,
 )
 
 t = MultiPoly.var(TD1, "t")
@@ -101,8 +93,6 @@ def _orders(table, rng):
 
 
 def test_packed_key_round_trips_shifts_and_divides():
-    from radsurj.ideal import _Budget, _lead, _reduce_full
-
     rng = Random(31)
     for arity in range(1, 7):
         for order in _orders(_table(arity), rng):
@@ -116,7 +106,7 @@ def test_packed_key_round_trips_shifts_and_divides():
                 assert order.key(tuple(map(add, a, b))) == order.key(a) + order.key(b) - zero
                 # the reduction loop's mask test: x^b reduces to 0 by x^a iff a | b
                 g = {order.key(a): Fraction(1)}
-                rest = _reduce_full({order.key(b): Fraction(1)}, [g], [_lead(order, g)], order, _Budget(1))
+                rest = reduce_full({order.key(b): Fraction(1)}, [g], [order.lead(g)], order, Budget(1))
                 assert (not rest) == divides_ref(a, b)
 
 
@@ -173,22 +163,20 @@ def test_reduced_basis_invariant_under_permutation():
 
 
 def test_buchberger_self_criterion():
-    from radsurj.ideal import _Budget, _lead, _reduce_full, _spoly
-
     gens = [d1**2 - t, t * d1 - 1]
     basis = buchberger(gens, GREVLEX)
-    out = [pack_terms(GREVLEX, g) for g in basis]
-    leads = [_lead(GREVLEX, g) for g in out]
-    budget = _Budget(10**6)
+    out = [GREVLEX.pack(g) for g in basis]
+    leads = [GREVLEX.lead(g) for g in out]
+    budget = Budget(10**6)
 
     def reduce(f):
-        return unpack_terms(GREVLEX, _reduce_full(f, out, leads, GREVLEX, budget))
+        return GREVLEX.poly(reduce_full(f, out, leads, GREVLEX, budget))
 
     for g in gens:
-        assert reduce(pack_terms(GREVLEX, g)).is_zero()
+        assert reduce(GREVLEX.pack(g)).is_zero()
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            s = _spoly(out[i], leads[i], out[j], leads[j], GREVLEX)
+            s = spoly(out[i], leads[i], out[j], leads[j], GREVLEX)
             assert reduce(s).is_zero()
 
 
@@ -200,8 +188,6 @@ def _reduce_or_raise(reduce, budget):
 
 
 def test_reduction_matches_immutable_reference():
-    from radsurj.ideal import _Budget, _lead, _reduce_full, _spoly
-
     rng = Random(2026)
     orders = [
         TermOrder.grevlex(TD12),
@@ -216,20 +202,18 @@ def test_reduction_matches_immutable_reference():
                 for _ in range(rng.randint(1, 3))
             ]
             leads = [order.leading(g) for g in basis]
-            packed = [pack_terms(order, g) for g in basis]
-            packed_leads = [_lead(order, g) for g in packed]
+            packed = [order.pack(g) for g in basis]
+            packed_leads = [order.lead(g) for g in packed]
             f = random_poly(rng, TD12, max_exp=3, max_terms=4)
             for g in basis:
                 f = f + random_poly(rng, TD12, max_exp=2, max_terms=3) * g
             limit = rng.choice([10**6, rng.randint(0, 8)])
             got, spent = _reduce_or_raise(
-                lambda b: unpack_terms(
-                    order, _reduce_full(pack_terms(order, f), packed, packed_leads, order, b)
-                ),
-                _Budget(limit),
+                lambda b: order.poly(reduce_full(order.pack(f), packed, packed_leads, order, b)),
+                Budget(limit),
             )
             want, want_spent = _reduce_or_raise(
-                lambda b: reduce_full_ref(f, basis, order, b), _Budget(limit)
+                lambda b: reduce_full_ref(f, basis, order, b), Budget(limit)
             )
             assert got == want
             assert spent == want_spent
@@ -245,9 +229,7 @@ def test_reduction_matches_immutable_reference():
                 want_s = MultiPoly.monomial(TD12, shift_f, 1 / fc) * basis[i] - (
                     MultiPoly.monomial(TD12, shift_g, 1 / gc) * basis[j]
                 )
-                got_s = unpack_terms(
-                    order, _spoly(packed[i], packed_leads[i], packed[j], packed_leads[j], order)
-                )
+                got_s = order.poly(spoly(packed[i], packed_leads[i], packed[j], packed_leads[j], order))
                 assert got_s == want_s
                 assert list(got_s.coeffs) == list(want_s.coeffs)
     assert 0 < exhausted < 60

@@ -1,6 +1,4 @@
 import itertools
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -8,9 +6,9 @@ from random import Random
 import pytest
 
 from radsurj import missing
-from radsurj.arith import MultiPoly, Role, VarTable
+from radsurj.arith import CAP, MultiPoly, Role, VarTable
 from radsurj.errors import ResourceError
-from radsurj.ideal import CAP, DEFAULT_STEP_BUDGET
+from radsurj.ideal import DEFAULT_STEP_BUDGET
 from radsurj.missing import (
     DEFAULT_FILTER_TOL,
     CandidatePolySet,
@@ -35,6 +33,7 @@ from support import (
     random_nonzero_poly,
     random_reduced_poly,
     random_tower,
+    run_child,
     scaled_residual_ref,
     to_sympy,
 )
@@ -167,6 +166,32 @@ def test_candidate_polys_keeps_content_roots():
     assert polys.hyp1_bound == 1
 
 
+def test_candidate_roots_come_from_the_squarefree_lead():
+    # the leads of these two instances are fourth powers, 9*(x + 3)^4
+    # and 9*(y - 2)^4, then 25600*(2x + 1)^4 and 100*y^4; the root
+    # iteration did not converge on the leads themselves
+    params = list(_agreement_params())
+    for k, roots in ((13, (-3, 2)), (18, (Fraction(-1, 2), 0))):
+        coords = candidate_polys(params[k]).coordinates
+        assert [c.degree for c in coords] == [4, 4]
+        assert [c.rational_roots for c in coords] == [(r,) for r in roots]
+        assert [c.numeric_roots for c in coords] == [(complex(r),) for r in roots]
+
+
+def test_candidate_roots_of_a_double_lead_are_distinct():
+    # c_x = (x^2 + 6)^2: on the lead the iteration returned four roots
+    # about 1e-9 apart, which the dedup kept, so each candidate came twice
+    param = parse(
+        "tower { d1^2 = 3*t^2 + 1; d2^2 = -2*t^2; }\n"
+        "param { x = (d1*d2 + d1 - 2) / (-t^2 + 3*t);\n"
+        "        y = (3*t^2 + 2*d1*d2) / (-t^2 + 3*t); }\n"
+    )
+    cx = candidate_polys(param).coordinates[0]
+    assert str(cx.lead_coeff) == "x^4 + 12*x^2 + 36" and cx.degree == 4
+    assert sorted(z.imag for z in cx.numeric_roots) == pytest.approx([-(6**0.5), 6**0.5], abs=1e-8)
+    assert all(abs(z.real) < 1e-8 for z in cx.numeric_roots)
+
+
 CANDIDATES_IN_CHILD = """
 import sys
 from radsurj import parse
@@ -185,13 +210,7 @@ def test_candidate_polys_squarefree_part_finishes():
         "param { x = (-d2 - 3) / (2*t^2 + 2);\n"
         "        y = (3*t^2 - 2*t*d2 + 2*d1) / (2*t^2 + 2); }\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", CANDIDATES_IN_CHILD],
-        input=source,
-        capture_output=True,
-        text=True,
-        timeout=20,
-    )
+    proc = run_child(["-c", CANDIDATES_IN_CHILD], input=source, timeout=20)
     assert proc.returncode == 0, proc.stderr
     # both agree with the leading t-coefficient of sympy's squarefree part
     assert proc.stdout == "['4*x^2', '16*y^4 - 96*y^3 + 248*y^2 - 312*y + 169'] 8\n"

@@ -1,10 +1,9 @@
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import radsurj
+
+from support import run_child
 
 # Runs in a fresh interpreter so that modules the test suite itself
 # loads (pytest, sympy, hypothesis) cannot hide or fake an import.
@@ -24,15 +23,7 @@ print(len(radsurj.__all__))
 
 
 def test_package_imports_only_the_standard_library():
-    src = str(Path(radsurj.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_EVERYTHING],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    done = run_child(["-c", _IMPORT_EVERYTHING], timeout=60)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) == len(radsurj.__all__) > 0
 

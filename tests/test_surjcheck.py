@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -9,9 +7,9 @@ import pytest
 import sympy
 
 from radsurj import surjcheck
-from radsurj.arith import NEG_INF, MultiPoly, Role, VarTable, poly_divmod, poly_gcd
+from radsurj.arith import NEG_INF, Budget, MultiPoly, Role, TermOrder, VarTable, poly_divmod, poly_gcd
 from radsurj.errors import InputError
-from radsurj.ideal import DEFAULT_STEP_BUDGET, TermOrder, _Budget, common_zeros
+from radsurj.ideal import DEFAULT_STEP_BUDGET, common_zeros
 from radsurj.parser import parse
 from radsurj.report import surjectivity_json
 from radsurj.surjcheck import (
@@ -36,6 +34,7 @@ from support import (
     random_reduced_poly,
     random_tower,
     reduce_full_ref,
+    run_child,
     to_sympy,
 )
 
@@ -265,12 +264,7 @@ def test_sparse_denominator_of_huge_degree_finishes(tmp_path):
     # took 22 s; run in a child process so a regression fails on the timeout
     path = tmp_path / "sparse.rs"
     path.write_text("tower { d^2 = t; } param { x = (t^2 + 1) / (3*t^1000000 + t + 1); y = d; }")
-    proc = subprocess.run(
-        [sys.executable, "-m", "radsurj.cli", "check", str(path), "--stable"],
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
+    proc = run_child(["-m", "radsurj.cli", "check", str(path), "--stable"], timeout=10)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)["surjectivity"]
     assert report["verdict"] == "CERTIFIED_SURJECTIVE"
@@ -375,7 +369,7 @@ def test_h_lies_in_the_common_zero_ideal_and_changes_no_answer():
             assert gens[:-1] == ref
             kind, basis = common_zeros(ref)
             assert common_zeros(gens) == (kind, basis)
-            assert reduce_full_ref(h, basis, order, _Budget(10**6)).is_zero()
+            assert reduce_full_ref(h, basis, order, Budget(10**6)).is_zero()
             if seen % 5 == 0:
                 r = q if q.variables() <= {0} else normalized_remainder(q, param.tower)
                 want = sympy.gcd(to_sympy(normalized_remainder(comp.numerator, param.tower)), to_sympy(r))
@@ -417,12 +411,7 @@ def test_unit_h_certifies_stalled_towers(source, tmp_path):
     # run in a child process so a regression fails on the timeout
     path = tmp_path / "tower.rs"
     path.write_text(source)
-    proc = subprocess.run(
-        [sys.executable, "-m", "radsurj.cli", "check", str(path), "--stable"],
-        capture_output=True,
-        text=True,
-        timeout=20,
-    )
+    proc = run_child(["-m", "radsurj.cli", "check", str(path), "--stable"], timeout=20)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)["surjectivity"]
     assert doc["verdict"] == "CERTIFIED_SURJECTIVE"

@@ -26,6 +26,7 @@ from support import (
     eval_exact,
     fast_guilty_single,
     full_conjugate_product,
+    normal_form_ref,
     random_poly_bounded,
     random_reduced_poly,
     random_tower,
@@ -147,6 +148,22 @@ def test_normal_form_idempotent_and_reduced():
         assert normal_form(nf, tw) == nf
         for i, level in enumerate(tw.levels):
             assert nf.degree(1 + i) < level.exponent
+
+
+def test_normal_form_matches_substitution_reference():
+    # radical powers up to 3e, and half the time over a table with an
+    # inert coordinate, as component_curve_poly builds it
+    rng = Random(34)
+    for _ in range(60):
+        tw = random_tower(rng, rng.randint(1, 3), max_e=4)
+        table = tw.table
+        if rng.random() < 0.5:
+            table = VarTable(table.names + ("x",), table.roles + (Role.COORDINATE,))
+        bounds = [4] + [3 * level.exponent for level in tw.levels] + [2] * (table.arity - 1 - tw.m)
+        f = random_poly_bounded(rng, table, bounds, max_terms=5)
+        assert normal_form(f, tw) == normal_form_ref(f, tw)
+    zero = MultiPoly.zero(TD12)
+    assert normal_form(zero, tower_nested()) == zero == normal_form_ref(zero, tower_nested())
 
 
 def test_normal_form_never_raises_weighted_degree():
