@@ -145,7 +145,7 @@ def missing_json(report: MissingPointReport, param: RadicalParametrization) -> d
 def sample_json(report: SampleReport, verdicts: Sequence[CandidateVerdict]) -> dict:
     return {
         "sample_count": report.sample_count,
-        "accepted": len(report.accepted),
+        "accepted": len(report.columns[0]),
         "rejected": report.rejected,
         "max_implicit_residual": report.max_implicit_residual,
         "denominator_tol": report.denominator_tol,

@@ -6,14 +6,18 @@ clouds, and probes candidate missing points against them.  Its verdicts
 never feed back into the exact certificates; "likely-missing" is a
 report about sampling density, not a theorem.
 
-The image cloud is evaluated by columns: a block of samples is expanded
-level by level into the columns t, d1, ..., dm of all its branches, and
-each polynomial is evaluated one term at a time over every row, the
-numerators and residuals only on rows that no denominator rejects.  Each
-row sees the float operations of evaluating its point alone, in the same
-order, so the cloud does not depend on the block; a block whose columns
-raise is redone one sample at a time, so the error is the first failing
-sample's.  The candidate probes are the one per-point loop (see _probe).
+enumerate_branches is the one branch enumerator: the image cloud and
+the candidate probes both take their rows from it.  Polynomials are
+evaluated in two shapes.  The cloud evaluates each one by columns over a
+block of samples, one term at a time over every row, the numerators and
+residuals only on rows that no denominator rejects; each row sees the
+float operations of evaluating its point alone, in the same order, so
+the cloud does not depend on the block, and a block whose columns raise
+is redone one sample at a time, so the error is the first failing
+sample's.  The candidate probes evaluate point by point (see _probe).
+The cloud is kept as columns t, d1, ..., dm, x1, ..., xn, the CSV's
+order, and a candidate's nearest cloud point is found over its image
+columns.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
-from operator import add, gt, le, mul, not_, sub, truediv
+from itertools import compress, islice, repeat
+from operator import add, le, mul, not_, truediv
 from typing import Iterator, Sequence
 
 from .arith import MultiPoly
@@ -136,16 +140,10 @@ def enumerate_branches(tower: RadicalTower, t0: complex) -> list[tuple[complex, 
 
 
 @dataclass(frozen=True)
-class BranchPoint:
-    t0: complex
-    deltas: tuple[complex, ...]
-    image: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
 class SampleReport:
     sample_count: int
-    accepted: tuple[BranchPoint, ...]
+    # accepted rows as columns t, d_1, ..., d_m, x_1, ..., x_n
+    columns: tuple[tuple[complex, ...], ...]
     rejected: int
     max_implicit_residual: float | None
     denominator_tol: float
@@ -204,44 +202,18 @@ def scaled_residuals(g: MultiPoly, cols: list[list[complex]], powers: dict) -> l
     return list(map(truediv, map(abs, total), scale))
 
 
-def _branch_columns(tower: RadicalTower, ts: list[complex]) -> list[list[complex]]:
-    """Columns t, d1, ..., dm of every branch over the values ts.
-
-    Rows come value by value, each value's branches as
-    enumerate_branches lists them.  A tolerance violation raises
-    NumericError naming the lowest failing level over all the values.
-    """
-    branch_tol = DEFAULT_BRANCH_TOL
-    cols = [list(ts)]
-    for i, level in enumerate(tower.levels):
-        n = len(cols[0])
-        e = level.exponent
-        unit = cmath.exp(2j * cmath.pi / e)
-        vals = _eval_columns(level.radicand, cols + [[0j] * n] * (tower.m - i), {})
-        live = [val for val in vals if val != 0]
-        principal = list(map(cmath.exp, map(truediv, map(cmath.log, live), repeat(e))))
-        fans = []
-        for j in range(e):
-            deltas = list(map(mul, principal, repeat(unit**j)))
-            errors = map(abs, map(sub, map(pow, deltas, repeat(e)), live))
-            scales = map(max, repeat(1.0), map(pow, map(abs, deltas), repeat(e)))
-            if any(map(gt, errors, map(mul, repeat(branch_tol), scales))):
-                raise NumericError(f"branch violates level {level.name} beyond tolerance")
-            fans.append(deltas)
-        fanned = zip(*fans)
-        counts = [e if val != 0 else 1 for val in vals]
-        grown = chain.from_iterable(next(fanned) if val != 0 else (0j,) for val in vals)
-        cols = [list(chain.from_iterable(map(repeat, col, counts))) for col in cols]
-        cols.append(list(grown))
-    return cols
-
-
 def _block_by_columns(
     param: RadicalParametrization, block: list[complex], tol: float, implicit: Sequence | None
-) -> tuple[list[BranchPoint], int, list[float]]:
-    """Accepted points, rejected count and per-point worst residuals of one
-    block; numerators are evaluated only on rows the denominators keep."""
-    cols = _branch_columns(param.tower, block)
+) -> tuple[list[Sequence[complex]], int, list[float]]:
+    """Accepted columns t, d_1, ..., d_m, x_1, ..., x_n, rejected count and
+    per-row worst residuals of one block.
+
+    The rows are every branch of every sample, in that order, as
+    enumerate_branches lists them; the numerators are evaluated only on
+    rows the denominators keep.
+    """
+    rows = [(t0, *deltas) for t0 in block for deltas in enumerate_branches(param.tower, t0)]
+    cols = list(zip(*rows))
     powers: dict = {}
     dens = [_eval_columns(c.denominator, cols, powers) for c in param.components]
     rejects = map(any, zip(*(map(le, map(abs, den), repeat(tol)) for den in dens)))
@@ -259,9 +231,7 @@ def _block_by_columns(
         worsts = next(residuals)
         for column in residuals:
             worsts = list(map(max, worsts, column))
-    deltas = zip(*cols[1:]) if len(cols) > 1 else repeat(())
-    points = list(map(BranchPoint, cols[0], deltas, zip(*images)))
-    return points, rejected, worsts
+    return cols + images, rejected, worsts
 
 
 def sample_images(
@@ -272,17 +242,19 @@ def sample_images(
 ) -> SampleReport:
     """Evaluate every branch at every sample; reject near-zero denominators.
 
-    Points come sample by sample, each sample's branches as
-    enumerate_branches lists them.  max_implicit_residual is the largest
-    over accepted points of the largest scaled residual over implicit.
-    Samples are evaluated by columns, _BLOCK at a time.  A block whose
-    columns raise an arithmetic, math-domain or package error is redone
-    by the same evaluator one sample at a time, so the error raised is
-    the first failing sample's.
+    Rows come sample by sample, each sample's branches as
+    enumerate_branches lists them, and the report keeps the accepted
+    rows as columns t, d_1, ..., d_m, x_1, ..., x_n.
+    max_implicit_residual is the largest over accepted rows of the
+    largest scaled residual over implicit.  Samples are evaluated by
+    columns, _BLOCK at a time.  A block whose columns raise an
+    arithmetic, math-domain or package error is redone by the same
+    evaluator one sample at a time, so the error raised is the first
+    failing sample's.
     """
     if samples is None:
         samples = default_samples()
-    accepted: list[BranchPoint] = []
+    columns: list[list[complex]] = [[] for _ in range(1 + param.tower.m + len(param.components))]
     rejected = 0
     max_residual: float | None = None
     rest = iter(samples)
@@ -291,12 +263,13 @@ def sample_images(
             parts = [_block_by_columns(param, block, tol, implicit)]
         except (ArithmeticError, ValueError, RadsurjError):
             parts = [_block_by_columns(param, [t0], tol, implicit) for t0 in block]
-        for points, dropped, worsts in parts:
-            accepted.extend(points)
+        for cols, dropped, worsts in parts:
+            for column, col in zip(columns, cols):
+                column.extend(col)
             rejected += dropped
             if worsts:
                 max_residual = max(worsts) if max_residual is None else max(max_residual, *worsts)
-    return SampleReport(len(samples), tuple(accepted), rejected, max_residual, tol)
+    return SampleReport(len(samples), tuple(map(tuple, columns)), rejected, max_residual, tol)
 
 
 # ----------------------------------------------------------------------
@@ -320,10 +293,10 @@ def _probe(
 ) -> float:
     """Distance from candidate to its nearest accepted image over t (inf if none).
 
-    The sampler's one per-point loop.  Probes come one parameter value
-    at a time, each placed by the one before, and sending each through
-    a one-row column block made the confirm stage nearly twice as slow:
-    0.82-0.84 s against 0.43-0.44 s over the benchmark's 24 seed-0
+    The sampler's one per-point evaluation.  Probes come one parameter
+    value at a time, each placed by the one before, and sending each
+    through a one-row column block made the confirm stage 1.4 times as
+    slow: 0.55 s against 0.38-0.40 s over the benchmark's 24 seed-0
     sample_dense files, --points 1000, on a 2-vCPU host.
     """
     distances = []
@@ -380,23 +353,20 @@ def confirm_candidates(
     reports the minimum distance observed in the raw cloud.
     """
     match_tol = DEFAULT_MATCH_TOL
+    images = report.columns[1 + param.tower.m :]
     verdicts: list[CandidateVerdict] = []
     for cand in candidates:
         cand = tuple(complex(c) for c in cand)
-        best: BranchPoint | None = None
-        dist = math.inf
-        for pt in report.accepted:
-            d = _image_distance(pt.image, cand)
-            if d < dist:
-                best, dist = pt, d
-        if best is None:
-            verdicts.append(CandidateVerdict(cand, "likely-missing", None, dist))
-            continue
-        t_star, d_star = _refine(param, cand, best.t0, report.denominator_tol)
-        if d_star <= match_tol:
-            verdicts.append(CandidateVerdict(cand, "covered", t_star, d_star))
-        else:
-            verdicts.append(CandidateVerdict(cand, "likely-missing", None, dist))
+        dists = list(map(_image_distance, zip(*images), repeat(cand)))
+        # seeded at inf, so a nan distance never wins; a tie goes to the first row
+        dist = min([math.inf, *dists])
+        verdict = CandidateVerdict(cand, "likely-missing", None, dist)
+        if dist < math.inf:
+            t0 = report.columns[0][dists.index(dist)]
+            t_star, d_star = _refine(param, cand, t0, report.denominator_tol)
+            if d_star <= match_tol:
+                verdict = CandidateVerdict(cand, "covered", t_star, d_star)
+        verdicts.append(verdict)
     return verdicts
 
 
@@ -411,8 +381,5 @@ def write_csv(report: SampleReport, param: RadicalParametrization, path: str) ->
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for pt in report.accepted:
-            row: list[float] = []
-            for v in (pt.t0, *pt.deltas, *pt.image):
-                row.extend((v.real, v.imag))
-            writer.writerow(row)
+        for row in zip(*report.columns):
+            writer.writerow([part for v in row for part in (v.real, v.imag)])

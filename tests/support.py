@@ -6,7 +6,8 @@ oracles at the end (subresultant resultant and the resultant chain
 built from it, Sylvester determinant, sign-product conjugation, the
 product on exponent tuples and Fractions, the tower norm expanded on
 Fraction polynomials, single-level fast guilt, exact and uncached
-complex evaluation, the image cloud one point at a time, division and
+complex evaluation, the image cloud one point at a time and the row
+loop that found a candidate's nearest cloud point, division and
 Groebner reduction on immutable polynomials, division with remainder
 on exponent tuples under graded lex, the tower normal form by
 substitution, the term order key that
@@ -18,6 +19,7 @@ implementations that the tests compare the package against.
 
 import heapq
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -44,7 +46,6 @@ from radsurj.errors import DomainError, InputError, RadsurjError, ResourceError,
 from radsurj.ideal import DEFAULT_STEP_BUDGET, common_zeros
 from radsurj.sampler import (
     DEFAULT_BRANCH_TOL,
-    BranchPoint,
     SampleReport,
     default_samples,
     enumerate_branches,
@@ -228,12 +229,13 @@ def sample_images_ref(param, samples=None, tol=DEFAULT_BRANCH_TOL, implicit=None
 
     The loop the package ran before it evaluated by columns: every
     branch of every sample, each denominator, numerator and implicit
-    generator through eval_complex and scaled_residual_ref.
+    generator through eval_complex and scaled_residual_ref.  The
+    accepted rows are returned as columns, as the package keeps them.
     """
     if samples is None:
         samples = default_samples()
     tower = param.tower
-    accepted: list[BranchPoint] = []
+    rows: list[tuple[complex, ...]] = []
     rejected = 0
     max_residual = None
     for t0 in samples:
@@ -246,11 +248,29 @@ def sample_images_ref(param, samples=None, tol=DEFAULT_BRANCH_TOL, implicit=None
             image = tuple(
                 c.numerator.eval_complex(point) / d for c, d in zip(param.components, dens)
             )
-            accepted.append(BranchPoint(t0, deltas, image))
+            rows.append((t0, *deltas, *image))
             if implicit:
                 worst = max(scaled_residual_ref(g, image) for g in implicit)
                 max_residual = worst if max_residual is None else max(max_residual, worst)
-    return SampleReport(len(samples), tuple(accepted), rejected, max_residual, tol)
+    width = 1 + tower.m + len(param.components)
+    columns = tuple(zip(*rows)) if rows else ((),) * width
+    return SampleReport(len(samples), columns, rejected, max_residual, tol)
+
+
+def nearest_cloud_point_ref(report: SampleReport, m: int, cand) -> tuple[complex | None, float]:
+    """The parameter value of the cloud row nearest to cand, and its
+    distance; (None, inf) when no row is nearer than inf.
+
+    The row loop sampler.confirm_candidates ran over per-point records:
+    the first row strictly closer than every earlier one, starting from
+    inf, so a nan distance never wins.
+    """
+    best, dist = None, float("inf")
+    for row in zip(*report.columns):
+        d = math.sqrt(sum(abs(x - c) ** 2 for x, c in zip(row[1 + m :], cand)))
+        if d < dist:
+            best, dist = row[0], d
+    return best, dist
 
 
 def complex_eval_corpus(rng: Random) -> list[tuple[MultiPoly, list[tuple[complex, ...]]]]:

@@ -11,6 +11,7 @@ from radsurj.errors import InputError, NumericError, StructuralError
 from radsurj import cli, sampler
 from radsurj.missing import implicitize, missing_candidates
 from radsurj.parser import parse_source
+from radsurj.report import sample_json
 from radsurj.sampler import (
     CandidateVerdict,
     complex_roots,
@@ -29,6 +30,7 @@ from support import (
     TD12,
     T_ONLY,
     complex_eval_corpus,
+    nearest_cloud_point_ref,
     random_poly,
     random_reduced_poly,
     random_tower,
@@ -184,6 +186,22 @@ def test_branch_check_names_the_lowest_failing_level(monkeypatch):
 # image clouds
 
 
+def test_sample_images_enumerates_branches_once_per_sample(monkeypatch):
+    # enumerate_branches is the one branch enumerator, for the cloud too
+    calls = []
+    enumerate_branches = sampler.enumerate_branches
+
+    def counted(tower, t0):
+        calls.append(t0)
+        return enumerate_branches(tower, t0)
+
+    monkeypatch.setattr(sampler, "enumerate_branches", counted)
+    samples = default_samples(5)
+    assert len(samples) < sampler._BLOCK
+    sample_images(circle_param(), samples)
+    assert calls == samples
+
+
 def test_sample_images_circle_residuals_and_counts():
     param = circle_param()
     implicit = implicitize(param)
@@ -191,8 +209,8 @@ def test_sample_images_circle_residuals_and_counts():
     assert report.sample_count == 600
     assert report.rejected == 0
     assert report.max_implicit_residual <= 1e-8
-    for pt in report.accepted[:50]:
-        x, y = pt.image
+    xs, ys = report.columns[2:]
+    for x, y in list(zip(xs, ys))[:50]:
         assert abs(x**2 + y**2 - 1) <= 1e-8
 
 
@@ -200,19 +218,19 @@ def test_sample_images_rejects_small_denominators():
     param = normalize_param(RadicalTower(T_ONLY, []), [(1 + tt, tt)])[0]
     report = sample_images(param, samples=[0j, 1 + 0j, 2 + 0j])
     assert report.rejected == 1
-    assert len(report.accepted) == 2
+    assert len(report.columns[0]) == 2
 
 
 def test_sample_images_axis_never_near_origin():
-    report = sample_images(axis_param())
-    assert all(abs(pt.image[0]) < 1e-12 for pt in report.accepted)
-    assert all(abs(pt.image[1]) > 1e-3 for pt in report.accepted)
+    xs, ys = sample_images(axis_param()).columns[2:]
+    assert all(abs(x) < 1e-12 for x in xs)
+    assert all(abs(y) > 1e-3 for y in ys)
 
 
 def test_sample_images_rational_circle_avoids_north_pole():
-    report = sample_images(rational_circle())
-    for pt in report.accepted:
-        d = math.hypot(abs(pt.image[0]), abs(pt.image[1] - 1))
+    xs, ys = sample_images(rational_circle()).columns[1:]
+    for x, y in zip(xs, ys):
+        d = math.hypot(abs(x), abs(y - 1))
         assert d > 1e-3
 
 
@@ -277,6 +295,55 @@ def test_confirm_candidates_empty_cloud():
     assert verdict.parameter is None and math.isinf(verdict.distance)
 
 
+def confirm_like_the_row_loop(monkeypatch, param, samples, cands):
+    """confirm_candidates against nearest_cloud_point_ref: the same
+    verdicts and the same seeds handed to _refine."""
+    cloud = sample_images(param, samples)
+    refine = sampler._refine
+    seeds = []
+
+    def recorded(param, cand, t0, tol):
+        seeds.append(t0)
+        return refine(param, cand, t0, tol)
+
+    monkeypatch.setattr(sampler, "_refine", recorded)
+    got = confirm_candidates(cloud, cands, param)
+    want, want_seeds = [], []
+    for cand in cands:
+        t0, dist = nearest_cloud_point_ref(cloud, param.tower.m, cand)
+        verdict = CandidateVerdict(cand, "likely-missing", None, dist)
+        if t0 is not None:
+            want_seeds.append(t0)
+            t_star, d_star = refine(param, cand, t0, cloud.denominator_tol)
+            if d_star <= sampler.DEFAULT_MATCH_TOL:
+                verdict = CandidateVerdict(cand, "covered", t_star, d_star)
+        want.append(verdict)
+    assert repr(seeds) == repr(want_seeds)
+    assert repr(got) == repr(want)
+    return cloud, got, seeds
+
+
+def test_confirm_candidates_seeds_at_the_row_loops_nearest_point(monkeypatch):
+    unit = MultiPoly.one(T_ONLY)
+    # a nan image in the first row (inf - inf in the denominator at t = 1e10)
+    # never seeds
+    param = normalize_param(RadicalTower(T_ONLY, []), [(unit, 10**300 * (tt**2 - tt**3))])[0]
+    cands = [(0j,), (1 + 0j,)]
+    cloud, _, seeds = confirm_like_the_row_loop(monkeypatch, param, [1e10 + 0j, 2 + 0j], cands)
+    assert cmath.isnan(cloud.columns[1][0]) and seeds == [2 + 0j, 2 + 0j]
+    # of two rows tied at the minimum, the first seeds
+    param = normalize_param(RadicalTower(T_ONLY, []), [(tt**2, unit)])[0]
+    samples = [2 + 0j, 1 + 0j, -1 + 0j]
+    _, _, seeds = confirm_like_the_row_loop(monkeypatch, param, samples, [(0j,)])
+    assert seeds == [1 + 0j]
+    # an empty cloud seeds nothing: likely-missing at distance inf, null in JSON
+    param = normalize_param(RadicalTower(T_ONLY, []), [(1 + tt, tt)])[0]
+    cloud, verdicts, seeds = confirm_like_the_row_loop(monkeypatch, param, [0j], [(1 + 0j,)])
+    assert seeds == [] and verdicts[0].verdict == "likely-missing"
+    doc = sample_json(cloud, verdicts)
+    assert doc["accepted"] == 0 and doc["candidates"][0]["distance"] is None
+
+
 # ----------------------------------------------------------------------
 # csv dump
 
@@ -291,7 +358,7 @@ def test_write_csv_columns_and_rows(tmp_path):
     assert rows[0] == [
         "t_re", "t_im", "d1_re", "d1_im", "x_re", "x_im", "y_re", "y_im",
     ]
-    assert len(rows) - 1 == len(report.accepted)
+    assert len(rows) - 1 == len(report.columns[0])
     assert all(len(r) == 8 for r in rows[1:])
 
 
@@ -326,7 +393,7 @@ def test_scaled_residual_is_relative():
 def same_cloud(param, samples=None, tol=sampler.DEFAULT_BRANCH_TOL, implicit=None):
     want = sample_images_ref(param, samples, tol, implicit)
     got = sample_images(param, samples, tol, implicit)
-    assert [repr(pt) for pt in got.accepted] == [repr(pt) for pt in want.accepted]
+    assert repr(got.columns) == repr(want.columns)
     assert repr(got.max_implicit_residual) == repr(want.max_implicit_residual)
     assert repr(got) == repr(want)  # counts and tol
     return want
@@ -381,7 +448,7 @@ def test_sample_images_matches_point_loop_at_collapsed_and_rejected_rows():
     param = normalize_param(tower, [(d1, ONE), (t, t - 1)])[0]
     for tol in (sampler.DEFAULT_BRANCH_TOL, 0.0):
         report = same_cloud(param, [0j, 1 + 0j, 4 + 0j, 1 + 1e-12j], tol)
-        assert report.accepted[0].deltas == (0j,)
+        assert report.columns[1][0] == 0j
     assert same_cloud(param, [1 + 1e-12j], 0.0).rejected == 0
     assert same_cloud(param, [1 + 1e-12j]).rejected == 2
     # at t = 1, d2^2 = d1 - 1 collapses over d1 = 1 only; 1/(d1 - 1) is rejected there
@@ -389,12 +456,12 @@ def test_sample_images_matches_point_loop_at_collapsed_and_rejected_rows():
     one = MultiPoly.one(TD12)
     param = normalize_param(tower, [(e2, one), (one, e1 - 1)])[0]
     report = same_cloud(param, [1 + 0j, 0j, 3 + 0j], 0.0)
-    assert report.rejected == 1 and len(report.accepted) == 2 + 2 + 4
+    assert report.rejected == 1 and len(report.columns[0]) == 2 + 2 + 4
     # a nan denominator (inf - inf at t = 1e10) is not within tol of zero
     unit = MultiPoly.one(T_ONLY)
     param = normalize_param(RadicalTower(T_ONLY, []), [(unit, 10**300 * (tt**2 - tt**3))])[0]
     report = same_cloud(param, [1e10 + 0j, 2 + 0j])
-    assert report.rejected == 0 and cmath.isnan(report.accepted[0].image[0])
+    assert report.rejected == 0 and cmath.isnan(report.columns[1][0])
 
 
 def test_sample_images_residual_maximum_keeps_nan_order():
@@ -474,8 +541,9 @@ def test_probe_is_the_nearest_image_of_the_point_loop():
             t0 = complex(re, im)
             cand = tuple(complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in param.components)
             tol = rng.choice((0.0, sampler.DEFAULT_BRANCH_TOL, 0.5))
-            cloud = sample_images_ref(param, [t0], tol).accepted
-            want = min((sampler._image_distance(pt.image, cand) for pt in cloud), default=math.inf)
+            images = sample_images_ref(param, [t0], tol).columns[1 + param.tower.m :]
+            rows = zip(*images)
+            want = min((sampler._image_distance(row, cand) for row in rows), default=math.inf)
             assert repr(sampler._probe(param, cand, t0, tol)) == repr(want)
 
 
