@@ -113,6 +113,7 @@ class MultiPoly:
             if any(k < 0 for k in expo):
                 raise StructuralError(f"negative exponent in {expo}")
             c = _as_fraction(c)
+            # not _iadd: the input may hold zero coefficients
             acc = clean.get(expo, 0) + c
             if acc:
                 clean[expo] = acc
@@ -201,12 +202,7 @@ class MultiPoly:
             return self + MultiPoly.const(self.table, other)
         self._check(other)
         out = dict(self.coeffs)
-        for expo, c in other.coeffs.items():
-            acc = out.get(expo, 0) + c
-            if acc:
-                out[expo] = acc
-            elif expo in out:
-                del out[expo]
+        _iadd(out, other.coeffs)
         return self._raw(self.table, out)
 
     __radd__ = __add__
@@ -444,8 +440,9 @@ def _mul_packed(a: Packed, b: Packed) -> Packed:
     return out
 
 
-def _iadd_packed(acc: Packed, b: Packed) -> None:
-    """acc += b in place, with the key order of the polynomial sum."""
+def _iadd(acc: dict, b: Mapping) -> None:
+    """acc += b in place, with the key order of the polynomial sum; b
+    holds no zero coefficient."""
     get = acc.get
     for k, n in b.items():
         v = get(k, 0) + n
@@ -485,7 +482,7 @@ def binomial_norm(coeffs: Sequence[MultiPoly], g: MultiPoly) -> MultiPoly:
                     term = {k: -v for k, v in term.items()}
                 key = rows | bit
                 if key in wider:
-                    _iadd_packed(wider[key], term)
+                    _iadd(wider[key], term)
                 else:
                     wider[key] = term
         minors = {rows: m for rows, m in wider.items() if m}

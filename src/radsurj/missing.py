@@ -148,13 +148,8 @@ def candidate_polys(param: RadicalParametrization) -> CandidatePolySet:
         # not be lost to the t-squarefree cleanup
         cont = content_wrt(g, t_idx)
         core = g if cont.is_const() else exact_div(g, cont)
-        if core.degree(t_idx) > 0:
-            cleaned = squarefree_part(core, t_idx)
-            lead = cleaned.coeff_poly(t_idx, cleaned.degree(t_idx))
-        else:
-            lead = MultiPoly.one(g.table)
-        if not cont.is_const():
-            lead = lead * squarefree_part(cont, x_idx)
+        cleaned = squarefree_part(core, t_idx)
+        lead = cleaned.coeff_poly(t_idx, cleaned.degree(t_idx)) * squarefree_part(cont, x_idx)
         # sign does not move roots; keep the reported polynomial stable
         if lead.coeff_poly(x_idx, lead.degree(x_idx)).const_value() < 0:
             lead = -lead

@@ -12,22 +12,25 @@ CERTIFIED_SURJECTIVE and INCONCLUSIVE.  The checker evaluates
   numerator and denominator generate the whole ring, so no parameter
   value drives a component into 0/0.
 
-One routine, condition2_locus, answers hypothesis 2 here and gives
-missing its condition-2 loci: the common zeros of the tower
-polynomials, p, q and h = gcd(r, R(p) mod r) in Q[t], where r is the
-denominator q itself when q lies in Q[t] and its normalized remainder
-R(q) otherwise.  Resultants lie in the ideal of their arguments, so h
-lies in the ideal of tower, p and q.  A constant q or a unit h gives
-an "empty" locus before any Groebner basis; otherwise the basis runs
-with h among the generators.  Hypothesis 2 holds for a component
-exactly when its locus is "empty".  One step budget covers h's
-division and the basis; when it runs out, the locus is "unknown", the
-component stays undecided and the report says so.
+check_surjective decides both in one pass, building each component's
+evidence once: its degrees, its numerator's guilt and suspicion, and
+its condition-2 locus, which reuses R(p) from the guilt report.  One
+routine, condition2_locus, answers hypothesis 2 here and gives missing
+its condition-2 loci: the common zeros of the tower polynomials, p, q
+and h = gcd(r, R(p) mod r) in Q[t], where r is the denominator q
+itself when q lies in Q[t] and its normalized remainder R(q)
+otherwise.  Resultants lie in the ideal of their arguments, so h lies
+in the ideal of tower, p and q.  A constant q or a unit h gives an
+"empty" locus before any Groebner basis; otherwise the basis runs with
+h among the generators.  Hypothesis 2 holds for a component exactly
+when its locus is "empty".  One step budget covers h's division and
+the basis; when it runs out, the locus is "unknown", the component
+stays undecided and the report says so.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -182,7 +185,7 @@ class ComponentEvidence:
     degree_condition: bool
     guilt: GuiltReport | None
     suspicion: SuspicionReport | None
-    locus: Condition2Locus | None = None  # set by check_surjective
+    locus: Condition2Locus
 
 
 @dataclass(frozen=True)
@@ -200,42 +203,7 @@ class SurjectivityReport:
 
 
 # ----------------------------------------------------------------------
-# hypotheses
-
-
-def hypothesis1(
-    param: RadicalParametrization, mode: str = "guilty"
-) -> tuple[int | None, list[ComponentEvidence]]:
-    """Smallest component with the degree condition and a clean numerator.
-
-    mode "guilty" uses the exact degree-drop test; mode "suspicious"
-    uses the syntactic over-approximation (stricter, can only lose
-    witnesses, never invent them).
-    """
-    if mode not in ("guilty", "suspicious"):
-        raise InputError(f"unknown hypothesis-1 mode {mode!r}")
-    tower = param.tower
-    wv = tower.weights
-    witness: int | None = None
-    records: list[ComponentEvidence] = []
-    for k, comp in enumerate(param.components, start=1):
-        dn = weighted_degree(comp.numerator, wv)
-        dd = weighted_degree(comp.denominator, wv)
-        condition = dn > dd
-        guilt = None
-        suspicion = None
-        if not comp.numerator.is_zero():
-            guilt = is_guilty(comp.numerator, tower)
-            suspicion = is_suspicious(comp.numerator, tower)
-        clean = (
-            suspicion is not None and not suspicion.suspicious
-            if mode == "suspicious"
-            else guilt is not None and not guilt.guilty
-        )
-        if witness is None and condition and clean:
-            witness = k
-        records.append(ComponentEvidence(k, dn, dd, condition, guilt, suspicion))
-    return witness, records
+# the checker
 
 
 def condition2_locus(
@@ -258,42 +226,58 @@ def condition2_locus(
         return Condition2Locus("unknown", None)
 
 
-# ----------------------------------------------------------------------
-# the checker
-
-
 def check_surjective(
     param: RadicalParametrization,
     mode: str = "guilty",
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> SurjectivityReport:
-    """Full certification pipeline; never claims non-surjectivity."""
+    """Full certification pipeline; never claims non-surjectivity.
+
+    One pass builds each component's evidence: the weighted degrees of
+    p and q, the guilt and suspicion of p (both in either mode), and
+    the condition-2 locus, which reuses R(p) from the guilt report.
+    The witness is the smallest component with the degree condition
+    and a clean numerator: not guilty in mode "guilty", not suspicious
+    in mode "suspicious" (stricter, can only lose witnesses, never
+    invent them).
+    """
+    if mode not in ("guilty", "suspicious"):
+        raise InputError(f"unknown hypothesis-1 mode {mode!r}")
+    tower = param.tower
+    witness: int | None = None
+    records: list[ComponentEvidence] = []
     notes: list[str] = []
-    witness, records = hypothesis1(param, mode)
-    enriched: list[ComponentEvidence] = []
-    for rec in records:
-        rp = rec.guilt.remainder if rec.guilt else None
-        locus = condition2_locus(param, rec.index, step_budget, rp)
+    for k, comp in enumerate(param.components, start=1):
+        dn = weighted_degree(comp.numerator, tower.weights)
+        dd = weighted_degree(comp.denominator, tower.weights)
+        guilt = suspicion = None
+        if not comp.numerator.is_zero():
+            guilt = is_guilty(comp.numerator, tower)
+            suspicion = is_suspicious(comp.numerator, tower)
+        clean = (
+            suspicion is not None and not suspicion.suspicious
+            if mode == "suspicious"
+            else guilt is not None and not guilt.guilty
+        )
+        if witness is None and dn > dd and clean:
+            witness = k
+        locus = condition2_locus(param, k, step_budget, guilt.remainder if guilt else None)
         if locus.classification == "unknown":
-            notes.append(f"component {rec.index}: hypothesis-2 step budget exhausted")
-        enriched.append(replace(rec, locus=locus))
+            notes.append(f"component {k}: hypothesis-2 step budget exhausted")
+        records.append(ComponentEvidence(k, dn, dd, dn > dd, guilt, suspicion, locus))
+    verdict, path = "INCONCLUSIVE", None
+    failing = [str(r.index) for r in records if r.locus.classification != "empty"]
     if witness is None:
         if not any(r.degree_condition for r in records):
             notes.append("no component satisfies the degree condition")
         else:
             label = "suspicious" if mode == "suspicious" else "guilty"
             notes.append(f"every degree-condition component is {label}")
-        return SurjectivityReport("INCONCLUSIVE", None, None, tuple(enriched), mode, tuple(notes))
-    failing = [str(r.index) for r in enriched if r.locus.classification != "empty"]
-    if failing:
+    elif failing:
         notes.append("hypothesis 2 not established for component(s) " + ", ".join(failing))
-        return SurjectivityReport(
-            "INCONCLUSIVE", witness, None, tuple(enriched), mode, tuple(notes)
-        )
-    path = _certificate_path(param, witness, mode)
-    return SurjectivityReport(
-        "CERTIFIED_SURJECTIVE", witness, path, tuple(enriched), mode, tuple(notes)
-    )
+    else:
+        verdict, path = "CERTIFIED_SURJECTIVE", _certificate_path(param, witness, mode)
+    return SurjectivityReport(verdict, witness, path, tuple(records), mode, tuple(notes))
 
 
 def _certificate_path(param: RadicalParametrization, witness: int, mode: str) -> str:

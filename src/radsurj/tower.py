@@ -231,19 +231,12 @@ def normalized_remainder(f: MultiPoly, tower: RadicalTower) -> MultiPoly:
 
 @dataclass(frozen=True)
 class GuiltReport:
-    """Outcome of the degree-drop test for one polynomial.
-
-    trace is remainder_trace(f), every entry reduced modulo the tower.
-    """
+    """Outcome of the degree-drop test for one polynomial; remainder is R(f)."""
 
     expected_degree: Fraction
     actual_degree: Fraction | float
     guilty: bool
-    trace: tuple[MultiPoly, ...]
-
-    @property
-    def remainder(self) -> MultiPoly:
-        return self.trace[-1]
+    remainder: MultiPoly
 
 
 def is_guilty(f: MultiPoly, tower: RadicalTower) -> GuiltReport:
@@ -257,7 +250,7 @@ def is_guilty(f: MultiPoly, tower: RadicalTower) -> GuiltReport:
     wv = tower.weight_vector(f.table)
     expected = weighted_degree(nf, wv) * tower.exponent_product
     actual = weighted_degree(trace[-1], wv)
-    return GuiltReport(expected, actual, expected > actual, tuple(trace))
+    return GuiltReport(expected, actual, expected > actual, trace[-1])
 
 
 @dataclass(frozen=True)

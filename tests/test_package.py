@@ -64,3 +64,23 @@ def test_no_module_imports_another_modules_private_names():
             if alias.name.startswith("_")
         ]
         assert not private, (path.name, private)
+
+
+def test_every_private_name_is_read_in_its_module():
+    for path in sorted(Path(radsurj.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+        read = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        dead = sorted(n for n in defined if n.startswith("_") and not n.endswith("__") and n not in read)
+        assert not dead, (path.name, dead)

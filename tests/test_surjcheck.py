@@ -18,7 +18,6 @@ from radsurj.surjcheck import (
     check_surjective,
     condition2_locus,
     default_coordinates,
-    hypothesis1,
     normalize_param,
 )
 from radsurj.tower import RadicalLevel, RadicalTower, normalized_remainder
@@ -123,7 +122,8 @@ def test_default_coordinates():
 
 
 def test_hypothesis1_circle_witness_is_first_component():
-    witness, records = hypothesis1(circle_param())
+    report = check_surjective(circle_param())
+    witness, records = report.witness_index, report.components
     assert witness == 1
     assert records[0].num_degree == Fraction(1)
     assert records[0].den_degree == Fraction(0)
@@ -137,7 +137,8 @@ def test_hypothesis1_circle_witness_is_first_component():
 def test_hypothesis1_zero_numerator_is_skipped():
     tw = tower_hyperbola()
     param = param_of(tw, [(MultiPoly.zero(TD1), ONE), (t - d1, ONE)])
-    witness, records = hypothesis1(param)
+    report = check_surjective(param)
+    witness, records = report.witness_index, report.components
     assert witness is None
     assert records[0].num_degree == NEG_INF
     assert not records[0].degree_condition
@@ -149,7 +150,8 @@ def test_hypothesis1_zero_numerator_is_skipped():
 
 def test_hypothesis1_suspicious_mode_flags_two_leading_terms():
     param = param_of(tower_hyperbola(), [(t - d1, ONE)])
-    witness, records = hypothesis1(param, mode="suspicious")
+    report = check_surjective(param, mode="suspicious")
+    witness, records = report.witness_index, report.components
     assert witness is None
     assert records[0].suspicion.suspicious
     assert records[0].suspicion.reason == "multiple-leading-terms"
@@ -157,7 +159,7 @@ def test_hypothesis1_suspicious_mode_flags_two_leading_terms():
 
 def test_hypothesis1_rejects_unknown_mode():
     with pytest.raises(InputError):
-        hypothesis1(circle_param(), mode="paranoid")
+        check_surjective(circle_param(), mode="paranoid")
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +222,28 @@ def test_exhausted_budget_builds_h_once_and_gives_unknown(monkeypatch):
         divisions.clear()
         assert condition2_locus(common_zero_param(), 1, budget) == Condition2Locus("unknown", None)
         assert len(divisions) == 1
+
+
+def test_check_hands_the_locus_r_of_p_from_the_guilt_report(monkeypatch):
+    # the locus takes R(p) from the guilt report, so check computes
+    # normalized remainders of denominators only, and only of those
+    # that involve a radical
+    seen = []
+    real = surjcheck.normalized_remainder
+
+    def recorded(f, tower):
+        seen.append(f)
+        return real(f, tower)
+
+    monkeypatch.setattr(surjcheck, "normalized_remainder", recorded)
+    data = Path(__file__).resolve().parent / "data"
+    cotas = parse((data / "cotas.rs").read_text(encoding="utf-8"))
+    radical_den = param_of(tower_circle(), [(t, d1 + 2), (d1, t + 1)])
+    for param in (cotas, radical_den):
+        seen.clear()
+        check_surjective(param)
+        assert seen == [c.denominator for c in param.components if c.denominator.variables() - {0}]
+    assert len(seen) == 1
 
 
 def test_hypothesis2_exhausted_budget_leaves_route_and_exact_null():

@@ -377,7 +377,6 @@ def test_guilty_requires_nonzero():
 def test_guilt_report_carries_trace():
     rep = is_guilty(e1 * e2 + t3, tower_nested())
     assert rep.remainder == t3**4 - 3 * t3**3 + t3**2
-    assert len(rep.trace) == 3
 
 
 def test_degree_bound_always_holds():
