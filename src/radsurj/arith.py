@@ -633,14 +633,13 @@ class TermOrder:
 class Budget:
     """Reduction steps left; spending past zero raises ResourceError."""
 
-    def __init__(self, limit: float, what: str = "Groebner"):
+    def __init__(self, limit: float):
         self.remaining = limit
-        self.what = what
 
     def spend(self) -> None:
         self.remaining -= 1
         if self.remaining < 0:
-            raise ResourceError(f"{self.what} step budget exhausted")
+            raise ResourceError("Groebner step budget exhausted")
 
 
 def _sub_shifted(acc: Terms, g: Terms, lead: int, shift: int, q: Fraction, guards: int) -> None:
@@ -705,15 +704,15 @@ def spoly(f: Terms, f_lead: Lead, g: Terms, g_lead: Lead, order: TermOrder) -> T
 
 
 def poly_divmod(
-    f: MultiPoly, g: MultiPoly, step_budget: int | None = None
+    f: MultiPoly, g: MultiPoly, budget: Budget | None = None
 ) -> tuple[MultiPoly, MultiPoly]:
     """Quotient and remainder of f by g under grevlex.
 
     f = quot * g + rem, and g's grevlex leading monomial divides no
     term of rem; in one variable this is the usual division over Q, and
     an exact quotient is the same under every order.  Each step adds
-    one term to the quotient; a step past step_budget (None: no limit)
-    raises ResourceError.
+    one term to the quotient and spends one step of budget (None: no
+    limit), which raises ResourceError once it runs out.
     """
     f._check(g)
     if g.is_zero():
@@ -721,7 +720,7 @@ def poly_divmod(
     order = TermOrder.grevlex(f.table)
     gk = order.pack(g)
     quot: Terms = {}
-    budget = Budget(math.inf if step_budget is None else step_budget, "division")
+    budget = Budget(math.inf) if budget is None else budget
     rem = reduce_full(order.pack(f), [gk], [order.lead(gk)], order, budget, quot)
     zero = order.key((0,) * f.table.arity)
     return order.poly({s + zero: q for s, q in quot.items()}), order.poly(rem)

@@ -3,8 +3,8 @@
 One JSON document per invocation on standard output, diagnostics on
 standard error.  Exit codes: 0 for success or a certified verdict, 3
 for an inconclusive check, 2 for bad input, 4 for an exhausted work
-budget, a numeric failure (float overflow included) or any other
-package error.
+budget, a numeric failure (float overflow included), exhausted memory
+or any other package error.
 """
 
 from __future__ import annotations
@@ -202,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE
     except OverflowError as exc:  # a float past its range, e.g. a huge power
         print(f"error: numeric overflow ({exc})", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:  # e.g. a dense coefficient list for a huge exponent
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

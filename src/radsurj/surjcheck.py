@@ -17,15 +17,15 @@ evidence once: its degrees, its numerator's guilt and suspicion, and
 its condition-2 locus, which reuses R(p) from the guilt report.  One
 routine, condition2_locus, answers hypothesis 2 here and gives missing
 its condition-2 loci: the common zeros of the tower polynomials, p, q
-and h = gcd(r, R(p) mod r) in Q[t], where r is the denominator q
-itself when q lies in Q[t] and its normalized remainder R(q)
-otherwise.  Resultants lie in the ideal of their arguments, so h lies
-in the ideal of tower, p and q.  A constant q or a unit h gives an
-"empty" locus before any Groebner basis; otherwise the basis runs with
-h among the generators.  Hypothesis 2 holds for a component exactly
-when its locus is "empty".  One step budget covers h's division and
-the basis; when it runs out, the locus is "unknown", the component
-stays undecided and the report says so.
+and h.  For a constant q, h = 1; otherwise h = gcd(r, R(p) mod r) in
+Q[t], where R eliminates the radicals and r is q when q involves t
+alone and R(q) otherwise.  Resultants lie in the ideal of their
+arguments, so h lies in the ideal of tower, p and q.  A constant q or
+a unit h gives an "empty" locus before any Groebner basis; otherwise
+the basis runs with h among the generators.  Hypothesis 2 holds for a
+component exactly when its locus is "empty".  One step budget covers
+h's division and then the basis; when it runs out, the locus is
+"unknown", the component stays undecided and the report says so.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import CAP, MultiPoly, poly_divmod, poly_gcd, weighted_degree
+from .arith import CAP, Budget, MultiPoly, poly_divmod, poly_gcd, weighted_degree
 from .errors import InputError, ResourceError
 from .ideal import DEFAULT_STEP_BUDGET, common_zeros
 from .tower import (
@@ -66,38 +66,21 @@ class RadicalParametrization:
     def n(self) -> int:
         return len(self.components)
 
-    def common_zero_ideal(
-        self, i: int, rp: MultiPoly | None = None, step_budget: int | None = None
-    ) -> tuple[list[MultiPoly], int]:
-        """Generators whose common zeros are where component i (1-based)
-        takes the form 0/0, and the division steps they cost.
 
-        The tower polynomials, numerator p and denominator q come
-        first.  Last is h = gcd(r, R(p) mod r) in Q[t], with r = q when
-        q lies in Q[t] and r = R(q) otherwise (R(p) mod 0 = R(p), for a
-        q that is a zero divisor); h = 1 when q is constant, and h = 0
-        (no generator) when R(p) or r has a t-degree past CAP, which no
-        basis could hold.  h lies in the ideal, so it moves
-        neither the common zeros nor the reduced basis.  rp is R(p) when
-        the caller has it; the division of R(p) by r spends step_budget
-        (None: no limit) and raises ResourceError past it.
-        """
-        comp = self.components[i - 1]
-        p, q = comp.numerator, comp.denominator
-        levels = [self.tower.level_poly(j) for j in range(self.tower.m)]
-        if q.is_const():
-            return levels + [p, q, MultiPoly.one(q.table)], 0
-        r = q if q.variables() <= {0} else normalized_remainder(q, self.tower)
-        rp = normalized_remainder(p, self.tower) if rp is None else rp
-        h, steps = MultiPoly.zero(q.table), 0
-        if max(r.degree(0), rp.degree(0)) <= CAP:
-            if r:
-                quot, rp = poly_divmod(rp, r, step_budget)
-                steps = len(quot.coeffs)
-            # gcd(r, s) = gcd(s, r mod s); the PRS of the right side
-            # starts below deg s, however high r's degree
-            h = poly_gcd(rp, _rem_by_powers(r, rp)) if r and rp else poly_gcd(r, rp)
-        return levels + [p, q, h], steps
+def _locus_h(tower: RadicalTower, p: MultiPoly, q: MultiPoly, rp: MultiPoly | None, budget: Budget) -> MultiPoly:
+    """h for a nonconstant q (module docstring), with R(p) mod 0 = R(p)
+    for a q that is a zero divisor, and h = 0 (no generator) when R(p)
+    or r has a t-degree past CAP, which no basis could hold.  The
+    division of R(p) by r spends budget."""
+    r = q if q.variables() <= {0} else normalized_remainder(q, tower)
+    rp = normalized_remainder(p, tower) if rp is None else rp
+    if max(r.degree(0), rp.degree(0)) > CAP:
+        return MultiPoly.zero(q.table)
+    if r:
+        rp = poly_divmod(rp, r, budget)[1]
+    # gcd(r, s) = gcd(s, r mod s); the PRS of the right side
+    # starts below deg s, however high r's degree
+    return poly_gcd(rp, _rem_by_powers(r, rp)) if r and rp else poly_gcd(r, rp)
 
 
 def _rem_by_powers(r: MultiPoly, s: MultiPoly) -> MultiPoly:
@@ -212,16 +195,22 @@ def condition2_locus(
     step_budget: int = DEFAULT_STEP_BUDGET,
     rp: MultiPoly | None = None,
 ) -> Condition2Locus:
-    """Where component i (1-based) takes the form 0/0: the common zeros
-    of RadicalParametrization.common_zero_ideal, classified.
-
-    rp is R(p) when the caller has it.  h's division steps and the
-    basis share step_budget; past it, or past the packed exponent
-    bound, the locus is "unknown".
+    """Where component i (1-based) takes the form 0/0, classified: the
+    common zeros of the tower polynomials, numerator p, denominator q
+    and h = 1 for a constant q, h = gcd(r, R(p) mod r) in Q[t]
+    otherwise.  h lies in the ideal of the others, so it moves neither
+    the common zeros nor the reduced basis.  rp is R(p) when the caller
+    has it.  One Budget of step_budget covers h's division and then
+    the basis; past it, or past the packed exponent bound, the locus
+    is "unknown".
     """
+    comp = param.components[i - 1]
+    p, q = comp.numerator, comp.denominator
+    levels = [param.tower.level_poly(j) for j in range(param.tower.m)]
+    budget = Budget(step_budget)
     try:
-        gens, steps = param.common_zero_ideal(i, rp, step_budget)
-        return Condition2Locus(*common_zeros(gens, step_budget - steps))
+        h = MultiPoly.one(q.table) if q.is_const() else _locus_h(param.tower, p, q, rp, budget)
+        return Condition2Locus(*common_zeros(levels + [p, q, h], budget.remaining))
     except ResourceError:
         return Condition2Locus("unknown", None)
 

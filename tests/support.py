@@ -784,8 +784,9 @@ def fast_guilty_single(f: MultiPoly, tower: RadicalTower) -> bool:
 
 
 def common_zero_ideal_ref(param, i: int) -> list[MultiPoly]:
-    """RadicalParametrization.common_zero_ideal before it carried h:
-    the tower polynomials, numerator and denominator of component i."""
+    """The generators surjcheck.condition2_locus hands the basis, before
+    they carried h: the tower polynomials, numerator and denominator of
+    component i."""
     comp = param.components[i - 1]
     levels = [param.tower.level_poly(j) for j in range(param.tower.m)]
     return levels + [comp.numerator, comp.denominator]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from radsurj import arith
 from radsurj.arith import (
     NEG_INF,
+    Budget,
     MultiPoly,
     Role,
     TermOrder,
@@ -286,7 +287,8 @@ def test_poly_divmod_matches_tuple_reference():
         g = random_nonzero_poly(rng, T_ONLY, max_exp=4, max_terms=3)
         limit = rng.choice([None, rng.randint(0, 6)])
         want = _outcome(lambda: poly_divmod_ref(f, g, limit))
-        assert _outcome(lambda: poly_divmod(f, g, limit)) == want
+        budget = None if limit is None else Budget(limit)
+        assert _outcome(lambda: poly_divmod(f, g, budget)) == want
         exhausted += want == "exhausted"
     assert 0 < exhausted < 60
 
@@ -313,9 +315,11 @@ def test_division_normal_form_and_buchberger_share_one_reduction_step(monkeypatc
 def test_poly_divmod_spends_one_step_per_quotient_term():
     f, g = t**10 + 3, t**2 + 1  # five division steps, remainder 2
     quot = t**8 - t**6 + t**4 - t**2 + 1
-    assert poly_divmod(f, g, step_budget=5) == (quot, MultiPoly.const(TD1, 2))
+    budget = Budget(5)
+    assert poly_divmod(f, g, budget) == (quot, MultiPoly.const(TD1, 2))
+    assert budget.remaining == 0
     with pytest.raises(ResourceError):
-        poly_divmod(f, g, step_budget=4)
+        poly_divmod(f, g, Budget(4))
     with pytest.raises(DomainError):
         poly_divmod(f, MultiPoly.zero(TD1))
 

@@ -92,7 +92,7 @@ def test_exhausted_budget_exits_four(capsys):
         ["implicitize", str(DATA / "circle.rs"), "--budget", "1"], capsys
     )
     assert code == 4 and doc is None
-    assert "budget" in err
+    assert err == "error: Groebner step budget exhausted\n"
 
 
 def test_semantic_error_exits_two(tmp_path, capsys):
@@ -447,6 +447,22 @@ def test_dense_coefficients_past_cap_exit_four(command, tmp_path):
     )
     assert proc.returncode == 4 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "missing", "sample"])
+def test_out_of_memory_exits_four(command, tmp_path):
+    # tower_norm pads d's coefficient list to length 10^11, which ended
+    # in a MemoryError traceback; the child's address space is capped
+    # at 2 GiB so the input cannot take the host's memory
+    src = tmp_path / "huge_exponent.rs"
+    src.write_text("tower { d^100000000000 = t; } param { x = d + t; y = t; }")
+    proc = run_child(
+        ["-m", "radsurj.cli", command, str(src), "--stable"],
+        timeout=20,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
 
 
 def test_ideal_flag_is_gone(capsys):
