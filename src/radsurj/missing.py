@@ -9,6 +9,14 @@ also reports the two bounds (product of the c_i degrees, product of
 the tower degrees at infinity) and, through surjcheck.condition2_locus,
 the locus where both numerator and denominator vanish on the castle.
 
+The implicit curve has two routes to one answer, the reduced Groebner
+basis of the elimination ideal (implicitize states why they agree).  A
+plane curve's generator is first sought by modular.plane_curve: linear
+algebra modulo word primes on the monomials of a bidegree box read from
+the curve polynomials G_i, a lift to Q, and an exact normal-form check
+that proves the lift is the generator.  Everything else, and every
+input that route declines, goes to a block-order Buchberger basis.
+
 Candidates form a superset of the true missing points; confirming one
 is left to the numeric sampler.
 """
@@ -21,9 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import MultiPoly, Role, VarTable, content_wrt, exact_div, poly_gcd, squarefree_part
+from .arith import Budget, MultiPoly, Role, VarTable, content_wrt, exact_div, poly_gcd, squarefree_part
 from .errors import ResourceError
 from .ideal import DEFAULT_STEP_BUDGET, elimination_ideal
+from .modular import plane_curve
 from .sampler import complex_roots, scaled_residuals
 from .surjcheck import Condition2Locus, RadicalParametrization, condition2_locus
 from .tower import RadicalTower, normalized_remainder
@@ -187,15 +196,56 @@ def infinity_bound(tower: RadicalTower) -> int:
 
 
 def implicitize(
-    param: RadicalParametrization, step_budget: int = DEFAULT_STEP_BUDGET
+    param: RadicalParametrization,
+    step_budget: int = DEFAULT_STEP_BUDGET,
+    curves: Sequence[MultiPoly | None] | None = None,
 ) -> list[MultiPoly]:
     """Defining equations of the curve closure, in the coordinates only.
 
-    Eliminates (t, radicals, z) from the incidence system {tower
-    equations; p_i - x_i q_i; z*Q - 1} where Q is the product of the
-    distinct nonconstant denominators, so the result cuts out exactly
-    the Zariski closure of the image.
+    The answer is the reduced Groebner basis of the elimination ideal J
+    of the incidence system {tower equations; p_i - x_i q_i; z*Q - 1},
+    Q the product of the distinct nonconstant denominators, so it cuts
+    out exactly the Zariski closure of the image.  Two routes give it:
+
+      * plane curves (n = 2): modular.plane_curve finds the monic
+        generator F as the first linear dependency among the monomials
+        of a bidegree box evaluated at points of the tower curve modulo
+        a prime, lifts it to Q and keeps it only when the normal form of
+        q_x^a q_y^b F(p_x/q_x, p_y/q_y) over the tower is zero (a, b the
+        degrees of F).  curves are the curve polynomials G_x, G_y of
+        candidate_polys; None builds them here.
+      * otherwise, and whenever the plane route declines: elimination,
+        a block-order Buchberger basis that eliminates (t, radicals, z).
+
+    Why a verified F is the Groebner answer.  A zero normal form puts
+    q_x^a q_y^b F in the ideal of the tower and the p - x q, and a power
+    of z Q times that equals F modulo z Q - 1, so F lies in J.  The
+    plane route declines when a curve polynomial has a content free of
+    t, which is how a coordinate constant on some component shows.
+    Otherwise no component maps to a point; the tower's ring is a
+    complete intersection, without embedded components, so every
+    associated prime of J has height one and J is principal, J = <F*>
+    with F* monic.  So F* divides F: lm(F) >= lm(F*), and F* lies in
+    the box, as F does.  Modulo a prime p that divides no input
+    denominator, the primitive integer multiple of F* vanishes at every
+    point drawn (the tower polynomials are monic, so reducing modulo
+    them keeps p-integrality) and is nonzero, so the first dependency
+    has a leading monomial at most lm(F*), and the lift keeps that
+    monomial with coefficient 1.  Hence lm(F) = lm(F*), and the monic
+    F, a multiple of F*, is F*.  An unlucky prime, an unlucky draw or a
+    wrong reconstruction can only give a lift that fails the check.
+
+    The plane route spends one budget step per eliminated column and
+    elimination gets what is left; either raises ResourceError when the
+    budget runs out.
     """
+    budget = Budget(step_budget)
+    if param.n == 2:
+        if curves is None:
+            curves = [component_curve_poly(param, i) for i in (1, 2)]
+        f = plane_curve(param, curves, budget)
+        if f is not None:
+            return [f]
     tower = param.tower
     zname = "z"
     while zname in tower.table.names or zname in param.coordinates:
@@ -216,7 +266,7 @@ def implicitize(
     for q in q_distinct:
         zq = zq * q.transport(table)
     gens.append(zq - 1)
-    eliminated = elimination_ideal(gens, param.coordinates, step_budget)
+    eliminated = elimination_ideal(gens, param.coordinates, budget.remaining)
     small = VarTable(tuple(param.coordinates), (Role.COORDINATE,) * param.n)
     return [g.transport(small) for g in eliminated]
 
@@ -247,7 +297,7 @@ def filtered_candidates(
     notes: list[str] = []
     polys = candidate_polys(param)
     try:
-        implicit = implicitize(param, step_budget)
+        implicit = implicitize(param, step_budget, [coord.curve_poly for coord in polys.coordinates])
     except ResourceError:
         implicit = None
         notes.append("implicitization budget exhausted, candidates unfiltered")

@@ -1,12 +1,15 @@
+import importlib.util
 import itertools
+import json
+from math import ceil, inf
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from radsurj import missing
-from radsurj.arith import CAP, MultiPoly, Role, VarTable
+from radsurj import cli, missing, modular
+from radsurj.arith import CAP, Budget, MultiPoly, Role, VarTable, content_wrt
 from radsurj.errors import ResourceError
 from radsurj.ideal import DEFAULT_STEP_BUDGET
 from radsurj.missing import (
@@ -392,6 +395,241 @@ def test_implicitize_budget_error_propagates():
 
 
 # ----------------------------------------------------------------------
+# the plane-curve route
+
+PLANE_CASES = {
+    # a reducible tower: the lines x = 3y and x = y
+    "reducible": "tower { d1^2 = t^2; } param { x = d1 + 2*t; y = t; }",
+    # conjugate lines, points only modulo primes with a root of -1 or -3
+    "minus-one": "tower { d^2 = -t^2; } param { x = d + t; y = t; }",
+    "minus-three": "tower { d^2 = -3*t^2; } param { x = d; y = t + 1; }",
+    "cube": "tower { d1^2 = t; d2^3 = d1 + t; } param { x = d2; y = d1; }",
+    # two to one: d and -d give the same point
+    "non-injective": "tower { d^2 = t^2; } param { x = d; y = t^2; }",
+    # a coefficient past one prime's reconstruction bound
+    "large-coefficient": "tower { d^2 = t; } param { x = d; y = 1234567890123*t^2 + t; }",
+    # missing_elim seed-0 missing_022.rs: the image is a point
+    "point": "tower { } param { x = (t) / (-3*t); y = (2*t) / (-3*t); }",
+}
+
+
+def _eliminated(monkeypatch, param, step_budget=DEFAULT_STEP_BUDGET):
+    """implicitize with the plane route declining, so elimination answers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(missing, "plane_curve", lambda param, curves, budget: None)
+        return implicitize(param, step_budget)
+
+
+def _curves(param):
+    return [component_curve_poly(param, i) for i in (1, 2)]
+
+
+def test_plane_route_matches_elimination(monkeypatch):
+    # every plane input that elimination finishes within 1000 steps gets
+    # the same generators, with the same term order, from both routes
+    params = [p for p in _agreement_params() if p.n == 2]
+    params += [parse(src) for src in PLANE_CASES.values()]
+    compared = plane = 0
+    for param in params:
+        try:
+            want = _eliminated(monkeypatch, param, 1000)
+        except ResourceError:
+            continue
+        got = implicitize(param)
+        assert [(str(g), list(g.coeffs)) for g in got] == [(str(g), list(g.coeffs)) for g in want]
+        compared += 1
+        plane += missing.plane_curve(param, _curves(param), Budget(inf)) is not None
+    # the three declined are axis.rs (twice) and the point
+    assert (compared, plane) == (17, 14)
+    point = implicitize(parse(PLANE_CASES["point"]))
+    assert [str(g) for g in point] == ["x + 1/3", "y + 2/3"]
+
+
+def test_plane_route_guard_declines_a_constant_coordinate():
+    # x is constant on the whole curve in both, so each curve polynomial
+    # of x has a content free of t; on the point the check alone would
+    # accept x + 1/3
+    for src in (PLANE_CASES["point"], (Path(__file__).parent / "data" / "axis.rs").read_text()):
+        param = parse(src)
+        assert missing.plane_curve(param, _curves(param), Budget(0)) is None
+
+
+def test_plane_route_declines_an_oversized_box():
+    # x = t^500, y = t: a box of 2 x 501 unknowns; Budget(0) shows that
+    # no column is eliminated
+    param = parse("tower { } param { x = t^500; y = t; }")
+    assert 2 * 501 > modular.MAX_UNKNOWNS
+    assert missing.plane_curve(param, _curves(param), Budget(0)) is None
+
+
+def test_plane_route_spends_one_step_per_column(monkeypatch):
+    # the circle's generator is the sixth column: 1, x, y, x^2, xy, y^2
+    param = circle_param()
+    budget = Budget(100)
+    assert str(missing.plane_curve(param, _curves(param), budget)) == "x^2 + y^2 - 1"
+    assert budget.remaining == 94
+    with pytest.raises(ResourceError):
+        missing.plane_curve(param, _curves(param), Budget(5))
+    # a declining route hands what it left to elimination
+    seen = []
+
+    def spend_and_decline(param, curves, budget):
+        for _ in range(7):
+            budget.spend()
+
+    def eliminate(gens, keep, step_budget):
+        seen.append(step_budget)
+        return ()
+
+    monkeypatch.setattr(missing, "plane_curve", spend_and_decline)
+    monkeypatch.setattr(missing, "elimination_ideal", eliminate)
+    assert implicitize(param, 50) == [] and seen == [43]
+
+
+def test_plane_route_skips_a_prime_dividing_a_denominator(monkeypatch):
+    # the first prime divides the coefficient 1/p; inverting it modulo p
+    # was a ValueError traceback.  The generator's coefficients near p
+    # need three more primes
+    first = 4611686018427387701
+    monkeypatch.setattr(modular, "PRIMES", (first, *[p for p in modular.PRIMES if p != first][:3]))
+    param = parse(f"tower {{ d^2 = t; }} param {{ x = 1/3 + 1/{first}*t; y = d; }}")
+    got = missing.plane_curve(param, _curves(param), Budget(inf))
+    assert str(got) == f"y^2 - {first}*x + {first}/3"
+    assert [str(got)] == [str(g) for g in _eliminated(monkeypatch, param)]
+
+
+NO_POINTS_IN_CHILD = """
+import sys
+from radsurj import modular, parse
+from radsurj.arith import Budget
+from radsurj.missing import component_curve_poly
+modular.PRIMES = tuple(int(p) for p in sys.argv[1:])
+param = parse(sys.stdin.read())
+print(modular.plane_curve(param, [component_curve_poly(param, i) for i in (1, 2)], Budget(10**6)))
+"""
+
+
+def test_plane_route_leaves_a_prime_without_points():
+    # -t^2 is a square modulo p only when p = 1 mod 4; with primes 3 mod
+    # 4 every draw failed and an early version looped forever, so this
+    # runs in a child process with a timeout
+    three = [p for p in modular.PRIMES if p % 4 == 3]
+    one = [p for p in modular.PRIMES if p % 4 == 1]
+    # missing_elim seed-0 missing_016.rs
+    source = (
+        "tower { d1^2 = -t^2; }\n"
+        "param { x = (-3*t^2 - d1) / (-t^2 - 2); y = (-2*t^2 - 3*d1) / (-t^2 - 2); }"
+    )
+    for primes, want in ((three, "None"), (three[:2] + one[:1], "x^2 + 18*x*y - 17*y^2 - 21*x + 7*y")):
+        proc = run_child(["-c", NO_POINTS_IN_CHILD, *map(str, primes)], input=source, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want + "\n"
+
+
+def test_plane_route_declines_after_a_fixed_count_of_primes(monkeypatch):
+    # one prime cannot reconstruct 1/1234567890123 and two can; 1/10^40
+    # needs five, one more than TRIES, so the route declines after TRIES
+    # primes and elimination answers
+    used = []
+    points = modular._curve_points
+
+    def counted(param, p, rng):
+        used.append(p)
+        return points(param, p, rng)
+
+    monkeypatch.setattr(modular, "_curve_points", counted)
+    param = parse(PLANE_CASES["large-coefficient"])
+    for primes, found in ((modular.PRIMES[:1], False), (modular.PRIMES, True)):
+        used.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(modular, "PRIMES", primes)
+            got = missing.plane_curve(param, _curves(param), Budget(inf))
+        assert (got is not None, len(used)) == (found, 1 + found)
+    param = parse("tower { d^2 = t; } param { x = d; y = 10^40*t^2 + t; }")
+    used.clear()
+    assert missing.plane_curve(param, _curves(param), Budget(inf)) is None
+    assert len(used) == modular.TRIES < len(modular.PRIMES)
+    c = 10**40
+    assert [str(g) for g in implicitize(param)] == [f"x^4 + 1/{c}*x^2 - 1/{c}*y"]
+
+
+# missing_elim seed-0 missing_024.rs and missing_039.rs; elimination takes
+# 4.9 s and 34.9 s on them, so their generators are the strings it printed
+FORMER_STALLS = {
+    "missing_024": (
+        "tower { d1^2 = 3*t^2 + 1; d2^2 = -2*t^2; }\n"
+        "param { x = (d1*d2 + d1 - 2) / (-t^2 + 3*t); y = (3*t^2 + 2*d1*d2) / (-t^2 + 3*t); }",
+        "x^4*y^4 - 424/305*x^3*y^5 + 722384/837225*x^2*y^6 - 228608/837225*x*y^7"
+        " + 10624/279075*y^8 + 4384/2745*x^3*y^4 - 490604/279075*x^2*y^5 + 1625968/2511675*x*y^6"
+        " - 182528/2511675*y^7 + 16/9*x^4*y^2 + 536/2745*x^3*y^3 - 609662/301401*x^2*y^4"
+        " + 8570264/7535025*x*y^5 - 1516508/7535025*y^6 + 50624/24705*x^3*y^2"
+        " + 892856/2511675*x^2*y^3 - 4266032/2511675*x*y^4 + 3420124/7535025*y^5 + 64/81*x^4"
+        " + 31424/24705*x^3*y + 2921026/2511675*x^2*y^2 - 16991264/7535025*x*y^3"
+        " + 4636249/7535025*y^4 + 512/915*x^3 + 765952/837225*x^2*y + 778112/837225*x*y^2"
+        " - 622388/837225*y^3 + 605552/279075*x^2 + 6104/55815*x*y - 28862/55815*y^2"
+        " + 55872/93025*x + 39576/93025*y + 84681/93025",
+    ),
+    "missing_039": (
+        "tower { d1^2 = t^2; d2^2 = t^2 + 3; }\n"
+        "param { x = (3*t*d1 + t - 2*d2) / (-2*t + 1); y = (-2*t*d1) / (-2*t + 1); }",
+        "x^8 + 12*x^7*y - 43*x^6*y^2 - 765*x^5*y^3 - 4977/8*x^4*y^4 + 35505/4*x^3*y^5"
+        " + 438129/16*x^2*y^6 + 486729/16*x*y^7 + 3068361/256*y^8 - 506*x^5*y^2 - 3795*x^4*y^3"
+        " - 6183*x^3*y^4 + 12663/2*x^2*y^5 + 178443/8*x*y^6 + 219429/16*y^7 - 48*x^6 - 432*x^5*y"
+        " - 19169/2*x^4*y^2 - 51027*x^3*y^3 - 449865/4*x^2*y^4 - 454437/4*x*y^5"
+        " - 1401381/32*y^6 - 11952*x^3*y^2 - 53784*x^2*y^3 - 169155/2*x*y^4 - 184761/4*y^5"
+        " + 864*x^4 + 5184*x^3*y - 2772*x^2*y^2 - 31644*x*y^3 - 426303/16*y^4 - 9504*x*y^2"
+        " - 14256*y^3 - 6912*x^2 - 20736*x*y - 5832*y^2 + 20736",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMER_STALLS))
+def test_former_stalls_pinned(name):
+    source, want = FORMER_STALLS[name]
+    assert [str(g) for g in implicitize(parse(source))] == [want]
+
+
+def test_missing_029_finishes_with_a_verified_generator(tmp_path, capsys):
+    # elimination runs past 400 s on this file (missing_elim seed 0)
+    src = tmp_path / "missing_029.rs"
+    src.write_text(
+        "tower { d1^2 = 2*t^2 - 2*t - 2; d2^2 = -t^2 + 2*t + 1; }\n"
+        "param { x = (-d2 - 3) / (2*t^2 + 2); y = (3*t^2 - 2*t*d2 + 2*d1) / (2*t^2 + 2); }\n"
+    )
+    assert cli.main(["missing", str(src), "--stable"]) == 0
+    (gen,) = json.loads(capsys.readouterr().out)["missing"]["implicit"]
+    param = parse(src.read_text())
+    (f,) = implicitize(param)
+    assert str(f) == gen and f.total_degree() == 8
+    assert modular._vanishes(f, param)
+
+
+def _missing_elim_corpus(seed):
+    spec = importlib.util.spec_from_file_location("gen", Path(__file__).parent.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.missing_elim(seed)
+
+
+def test_plane_route_finds_each_generator_within_its_box():
+    # the bidegree bound is pinned: on every missing_elim seed-0 file the
+    # route declines only for a constant coordinate or a box past
+    # MAX_UNKNOWNS (tall.rs, 19 x 19), and otherwise finds the generator
+    found = 0
+    for name, text in _missing_elim_corpus(0):
+        param = parse(text)
+        curves = _curves(param)
+        guarded = any(not content_wrt(g, 0).is_const() for g in curves)
+        e, (gx, gy) = param.tower.exponent_product, curves
+        dx, dy = ceil(gy.degree(0) * e / gy.degree(1)), ceil(gx.degree(0) * e / gx.degree(1))
+        box = (dx + 1) * (dy + 1)
+        f = missing.plane_curve(param, curves, Budget(inf))
+        assert (f is None) == (guarded or box > modular.MAX_UNKNOWNS), name
+        found += f is not None
+    assert found == 37
+
+
+# ----------------------------------------------------------------------
 # the full report
 
 
@@ -458,7 +696,7 @@ def filtered_like_point_rule(monkeypatch, axes, implicit):
         for name, roots in zip(table.names, axes)
     )
     monkeypatch.setattr(missing, "candidate_polys", lambda param: CandidatePolySet(coords))
-    monkeypatch.setattr(missing, "implicitize", lambda param, budget: list(implicit))
+    monkeypatch.setattr(missing, "implicitize", lambda param, budget, curves: list(implicit))
     want = [
         tup
         for tup in itertools.product(*axes)
