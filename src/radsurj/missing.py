@@ -9,13 +9,10 @@ also reports the two bounds (product of the c_i degrees, product of
 the tower degrees at infinity) and, through surjcheck.condition2_locus,
 the locus where both numerator and denominator vanish on the castle.
 
-The implicit curve has two routes to one answer, the reduced Groebner
-basis of the elimination ideal (implicitize states why they agree).  A
-plane curve's generator is first sought by modular.plane_curve: linear
-algebra modulo word primes on the monomials of a bidegree box read from
-the curve polynomials G_i, a lift to Q, and an exact normal-form check
-that proves the lift is the generator.  Everything else, and every
-input that route declines, goes to a block-order Buchberger basis.
+The implicit curve is the reduced Groebner basis of the elimination
+ideal.  implicitize reaches it by plane_curve's linear algebra modulo
+word primes, checked exactly, or by a block-order Buchberger basis, and
+states why the two agree.
 
 Candidates form a superset of the true missing points; confirming one
 is left to the numeric sampler.
@@ -27,19 +24,29 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from random import Random
+from typing import Iterator, Sequence
 
-from .arith import Budget, MultiPoly, Role, VarTable, content_wrt, exact_div, poly_gcd, squarefree_part
+from . import modular
+from .arith import Budget, MultiPoly, Role, TermOrder, VarTable, content_wrt, exact_div, squarefree_part
 from .errors import ResourceError
 from .ideal import DEFAULT_STEP_BUDGET, elimination_ideal
-from .modular import plane_curve
 from .sampler import complex_roots, scaled_residuals
 from .surjcheck import Condition2Locus, RadicalParametrization, condition2_locus
-from .tower import RadicalTower, normalized_remainder
+from .tower import RadicalTower, normal_form, normalized_remainder
 
 DEFAULT_FILTER_TOL = 1e-8
 
 SIEVE_LIMIT = 10**12  # largest |c_0 * c_d| the trial-division root sieve runs on
+
+TRIES = 4  # primes that may draw points before the plane route declines
+MAX_FAILED_DRAWS = 100  # failed draws in a row before a prime is left
+# Largest bidegree box the plane route eliminates.  Elimination is cubic
+# in the column count: a box with no dependency takes 0.13 s at 100
+# unknowns, 0.76 s at 196 and 4.8 s at 361 (tall.rs's box), measured on
+# one core of a 2-vCPU host, so past this the Groebner route runs.
+MAX_UNKNOWNS = 200
+SEED = 20261020
 
 
 def _extended_table(tower: RadicalTower, extra: Sequence[str], role: Role) -> VarTable:
@@ -79,6 +86,7 @@ class CoordinateCandidates:
     rational_roots: tuple[Fraction, ...]
     numeric_roots: tuple[complex, ...]
     note: str | None = None
+    content: MultiPoly | None = None  # cont_t(G_i) over (t, x_i), None if degenerate
 
 
 @dataclass(frozen=True)
@@ -165,7 +173,7 @@ def candidate_polys(param: RadicalParametrization) -> CandidatePolySet:
         note = "curve polynomial is constant in t" if g.degree(t_idx) == 0 else None
         degree = lead.degree(x_idx)
         if degree <= 0:
-            coords.append(CoordinateCandidates(name, g, lead, 0, (), (), note))
+            coords.append(CoordinateCandidates(name, g, lead, 0, (), (), note, cont))
             continue
         coeffs = [c.const_value() for c in lead.univariate_coeffs(x_idx)]
         exact = _rational_roots(coeffs)
@@ -173,9 +181,8 @@ def candidate_polys(param: RadicalParametrization) -> CandidatePolySet:
             skipped = "rational root sieve skipped, coefficients too large"
             exact, note = [], skipped if note is None else f"{note}; {skipped}"
         # the root iteration does not converge on repeated roots, so it
-        # runs on the squarefree lead; a squarefree lead goes as it is
-        rad = poly_gcd(lead, lead.derivative(x_idx))
-        simple = lead if rad.is_const() else exact_div(lead, rad)
+        # runs on the squarefree lead
+        simple = squarefree_part(lead, x_idx)
         numeric = complex_roots([complex(c.const_value()) for c in simple.univariate_coeffs(x_idx)])
         reps: dict[tuple[float, float], complex] = {}
         for z in numeric:
@@ -183,7 +190,7 @@ def candidate_polys(param: RadicalParametrization) -> CandidatePolySet:
             z = complex(near[0]) if near else z
             reps.setdefault(_root_key(z), z)
         uniq = tuple(reps[k] for k in sorted(reps))
-        coords.append(CoordinateCandidates(name, g, lead, degree, tuple(exact), uniq, note))
+        coords.append(CoordinateCandidates(name, g, lead, degree, tuple(exact), uniq, note, cont))
     return CandidatePolySet(tuple(coords))
 
 
@@ -195,10 +202,139 @@ def infinity_bound(tower: RadicalTower) -> int:
     return bound
 
 
+def _curve_points(param: RadicalParametrization, p: int, rng: Random) -> Iterator[tuple[int, int]]:
+    """Random points (x, y) of the image modulo p.
+
+    t is drawn at random and each level's root taken in turn: the inverse
+    exponent for the odd part of e (the caller picks p with it coprime to
+    p - 1), then square roots with a random sign.  A draw fails on a
+    radicand that is not a square or on q_x * q_y = 0; the points stop
+    after MAX_FAILED_DRAWS failures in a row.
+    """
+    levels = []
+    for lv in param.tower.levels:
+        u, s = modular.odd_part(lv.exponent)
+        levels.append((modular.mod_terms(lv.radicand.coeffs, p), pow(u, -1, p - 1), s))
+    comps = [[modular.mod_terms(f.coeffs, p) for f in (c.numerator, c.denominator)] for c in param.components]
+    failed = 0
+    while failed < MAX_FAILED_DRAWS:
+        point = [rng.randrange(p)]
+        for terms, odd_root, s in levels:
+            d = modular.eval_mod(terms, point, p)
+            if d and odd_root > 1:
+                d = pow(d, odd_root, p)
+            for _ in range(s):
+                d = modular.sqrt_mod(d, p)
+                if d is None:
+                    break
+                if rng.getrandbits(1):
+                    d = -d % p
+            if d is None:
+                break
+            point.append(d)
+        else:
+            (px, qx), (py, qy) = ([modular.eval_mod(f, point, p) for f in comp] for comp in comps)
+            den = qx * qy % p
+            if den:
+                failed = 0
+                inv = pow(den, -1, p)
+                yield px * qy * inv % p, py * qx * inv % p
+                continue
+        failed += 1
+
+
+def _vanishes(f: MultiPoly, param: RadicalParametrization) -> bool:
+    """Is q_x^a q_y^b * f(p_x/q_x, p_y/q_y) zero modulo the tower, where
+    a and b are f's degrees in x and y?  Powers are reduced as they are
+    built; the normal form is a ring map modulo the tower."""
+    tower = param.tower
+
+    def cleared(comp, k: int) -> list[MultiPoly]:  # p^i q^(k-i) for i = 0..k
+        num, den = [MultiPoly.one(tower.table)], [MultiPoly.one(tower.table)]
+        for _ in range(k):
+            num.append(normal_form(num[-1] * comp.numerator, tower))
+            den.append(normal_form(den[-1] * comp.denominator, tower))
+        return [normal_form(num[i] * den[k - i], tower) for i in range(k + 1)]
+
+    comp_x, comp_y = param.components
+    xs, ys = cleared(comp_x, f.degree(0)), cleared(comp_y, f.degree(1))
+    total = MultiPoly.zero(tower.table)
+    for i, x_part in enumerate(xs):
+        inner = MultiPoly.zero(tower.table)
+        for (ei, ej), c in f.coeffs.items():
+            if ei == i:
+                inner = inner + ys[ej] * c
+        if inner:
+            total = total + x_part * inner
+    return normal_form(total, tower).is_zero()
+
+
+def plane_curve(
+    param: RadicalParametrization, curves: Sequence[tuple[MultiPoly | None, MultiPoly | None]], budget: Budget
+) -> MultiPoly | None:
+    """The monic implicit generator of a plane radical curve, or None to
+    decline.
+
+    curves are the curve polynomials G_x(t, x) and G_y(t, y), each with
+    its content in t.  The route declines when a G_i is None or has degree
+    0 in its coordinate, when both contents are free of t (so a
+    component may map to a point), when the bidegree box deg_x F <=
+    deg_t(G_y) E / deg_y(G_y), deg_y F <= deg_t(G_x) E / deg_x(G_x), E
+    the product of the tower's exponents, holds more than MAX_UNKNOWNS
+    monomials or no dependency, and when no prime's lift verifies within
+    TRIES primes.  Primes that divide a coefficient denominator, or whose
+    p - 1 shares a factor with the odd part of an exponent, are skipped.
+    Each prime's dependency is combined by CRT with those of the same
+    leading column, and a rational reconstruction is checked exactly
+    once per new candidate.  Spends one budget step per eliminated
+    column.
+    """
+    if any(g is None or g.degree(1) < 1 for g, _ in curves) or not any(c.is_const() for _, c in curves):
+        return None
+    (gx, _), (gy, _) = curves
+    e = param.tower.exponent_product
+    dx, dy = -(-gy.degree(0) * e // gy.degree(1)), -(-gx.degree(0) * e // gx.degree(1))
+    if (dx + 1) * (dy + 1) > MAX_UNKNOWNS:
+        return None
+    table = VarTable(param.coordinates, (Role.COORDINATE,) * 2)
+    order = TermOrder(table, (0, 1))  # the elimination order on the coordinates
+    monos = sorted(((a, b) for a in range(dx + 1) for b in range(dy + 1)), key=order.key)
+    polys = [lv.radicand for lv in param.tower.levels]
+    polys += [f for comp in param.components for f in (comp.numerator, comp.denominator)]
+    denom = math.lcm(*(c.denominator for f in polys for c in f.coeffs.values()))
+    odd = [modular.odd_part(lv.exponent)[0] for lv in param.tower.levels]
+    rng = Random(SEED)
+    lead, modulus, residues, tried, tries = -1, 1, [], None, 0
+    for p in modular.PRIMES:
+        if denom % p == 0 or any(math.gcd(u, p - 1) > 1 for u in odd):
+            continue
+        if tries == TRIES:
+            break
+        tries += 1
+        found = modular.first_dependency(monos, _curve_points(param, p, rng), p, budget)
+        if found is None or found[0] < lead:
+            continue  # no points, or an unlucky prime
+        if found[0] == len(monos):
+            return None  # the generator lies outside the box
+        if found[0] > lead:
+            lead, modulus, residues = found[0], 1, [0] * (found[0] + 1)
+        inv = pow(modulus, -1, p)
+        residues = [u + modulus * ((v - u) * inv % p) for u, v in zip(residues, found[1])]
+        modulus *= p
+        coeffs = [modular.rational_reconstruction(u, modulus) for u in residues]
+        if None in coeffs:
+            continue
+        f = order.poly({order.key(monos[i]): coeffs[i] for i in reversed(range(lead + 1)) if coeffs[i]})
+        if f != tried and _vanishes(f, param):
+            return f
+        tried = f
+    return None
+
+
 def implicitize(
     param: RadicalParametrization,
     step_budget: int = DEFAULT_STEP_BUDGET,
-    curves: Sequence[MultiPoly | None] | None = None,
+    curves: Sequence[tuple[MultiPoly | None, MultiPoly | None]] | None = None,
 ) -> list[MultiPoly]:
     """Defining equations of the curve closure, in the coordinates only.
 
@@ -207,25 +343,26 @@ def implicitize(
     Q the product of the distinct nonconstant denominators, so it cuts
     out exactly the Zariski closure of the image.  Two routes give it:
 
-      * plane curves (n = 2): modular.plane_curve finds the monic
-        generator F as the first linear dependency among the monomials
-        of a bidegree box evaluated at points of the tower curve modulo
-        a prime, lifts it to Q and keeps it only when the normal form of
+      * plane curves (n = 2): plane_curve finds the monic generator F
+        as the first linear dependency among the monomials of a bidegree
+        box evaluated at points of the tower curve modulo a prime, lifts
+        it to Q and keeps it only when the normal form of
         q_x^a q_y^b F(p_x/q_x, p_y/q_y) over the tower is zero (a, b the
         degrees of F).  curves are the curve polynomials G_x, G_y of
-        candidate_polys; None builds them here.
+        candidate_polys with their contents in t; None builds them here.
       * otherwise, and whenever the plane route declines: elimination,
         a block-order Buchberger basis that eliminates (t, radicals, z).
 
     Why a verified F is the Groebner answer.  A zero normal form puts
     q_x^a q_y^b F in the ideal of the tower and the p - x q, and a power
     of z Q times that equals F modulo z Q - 1, so F lies in J.  The
-    plane route declines when a curve polynomial has a content free of
-    t, which is how a coordinate constant on some component shows.
-    Otherwise no component maps to a point; the tower's ring is a
-    complete intersection, without embedded components, so every
-    associated prime of J has height one and J is principal, J = <F*>
-    with F* monic.  So F* divides F: lm(F) >= lm(F*), and F* lies in
+    plane route declines when both curve polynomials have a content free
+    of t.  A component maps to a point only when both coordinates are
+    constant on it, and a coordinate constant on a component puts a
+    t-free factor into its curve polynomial.  So otherwise no component
+    maps to a point; the tower's ring is a complete intersection,
+    without embedded components, so every associated prime of J has
+    height one and J is principal, J = <F*> with F* monic.  So F* divides F: lm(F) >= lm(F*), and F* lies in
     the box, as F does.  Modulo a prime p that divides no input
     denominator, the primitive integer multiple of F* vanishes at every
     point drawn (the tower polynomials are monic, so reducing modulo
@@ -242,7 +379,8 @@ def implicitize(
     budget = Budget(step_budget)
     if param.n == 2:
         if curves is None:
-            curves = [component_curve_poly(param, i) for i in (1, 2)]
+            gs = [component_curve_poly(param, i) for i in (1, 2)]
+            curves = [(g, None if g is None else content_wrt(g, 0)) for g in gs]
         f = plane_curve(param, curves, budget)
         if f is not None:
             return [f]
@@ -297,7 +435,7 @@ def filtered_candidates(
     notes: list[str] = []
     polys = candidate_polys(param)
     try:
-        implicit = implicitize(param, step_budget, [coord.curve_poly for coord in polys.coordinates])
+        implicit = implicitize(param, step_budget, [(c.curve_poly, c.content) for c in polys.coordinates])
     except ResourceError:
         implicit = None
         notes.append("implicitization budget exhausted, candidates unfiltered")

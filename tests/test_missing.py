@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import json
+import sys
 from math import ceil, inf
 from fractions import Fraction
 from pathlib import Path
@@ -421,7 +422,8 @@ def _eliminated(monkeypatch, param, step_budget=DEFAULT_STEP_BUDGET):
 
 
 def _curves(param):
-    return [component_curve_poly(param, i) for i in (1, 2)]
+    gs = [component_curve_poly(param, i) for i in (1, 2)]
+    return [(g, content_wrt(g, 0)) for g in gs]
 
 
 def test_plane_route_matches_elimination(monkeypatch):
@@ -439,26 +441,30 @@ def test_plane_route_matches_elimination(monkeypatch):
         assert [(str(g), list(g.coeffs)) for g in got] == [(str(g), list(g.coeffs)) for g in want]
         compared += 1
         plane += missing.plane_curve(param, _curves(param), Budget(inf)) is not None
-    # the three declined are axis.rs (twice) and the point
-    assert (compared, plane) == (17, 14)
+    # the one declined is the point
+    assert (compared, plane) == (17, 16)
     point = implicitize(parse(PLANE_CASES["point"]))
     assert [str(g) for g in point] == ["x + 1/3", "y + 2/3"]
 
 
 def test_plane_route_guard_declines_a_constant_coordinate():
-    # x is constant on the whole curve in both, so each curve polynomial
-    # of x has a content free of t; on the point the check alone would
-    # accept x + 1/3
-    for src in (PLANE_CASES["point"], (Path(__file__).parent / "data" / "axis.rs").read_text()):
-        param = parse(src)
-        assert missing.plane_curve(param, _curves(param), Budget(0)) is None
+    # on the point both coordinates are constant, so both curve
+    # polynomials have a content free of t, and the check alone would
+    # accept x + 1/3; on axis.rs only x's has one, no component maps to
+    # a point, and the route answers
+    param = parse(PLANE_CASES["point"])
+    assert all(not c.is_const() for _, c in _curves(param))
+    assert missing.plane_curve(param, _curves(param), Budget(0)) is None
+    param = parse((Path(__file__).parent / "data" / "axis.rs").read_text())
+    assert [c.is_const() for _, c in _curves(param)] == [False, True]
+    assert missing.plane_curve(param, _curves(param), Budget(inf)) is not None
 
 
 def test_plane_route_declines_an_oversized_box():
     # x = t^500, y = t: a box of 2 x 501 unknowns; Budget(0) shows that
     # no column is eliminated
     param = parse("tower { } param { x = t^500; y = t; }")
-    assert 2 * 501 > modular.MAX_UNKNOWNS
+    assert 2 * 501 > missing.MAX_UNKNOWNS
     assert missing.plane_curve(param, _curves(param), Budget(0)) is None
 
 
@@ -486,6 +492,28 @@ def test_plane_route_spends_one_step_per_column(monkeypatch):
     assert implicitize(param, 50) == [] and seen == [43]
 
 
+def test_each_curve_content_is_computed_once(monkeypatch):
+    # candidate_polys computes cont_t(G_i) and the plane route's guard
+    # reads it; the implicitize command, which has no candidates, computes
+    # it once too.  Every package module's binding is spied on but
+    # arith's, whose gcds take contents of their own
+    calls = []
+
+    def spy(f, var):
+        calls.append((f, var))
+        return content_wrt(f, var)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("radsurj.") and name != "radsurj.arith" and hasattr(module, "content_wrt"):
+            monkeypatch.setattr(module, "content_wrt", spy)
+    param = circle_param()
+    curves = [g for g, _ in _curves(param)]
+    for run in (missing_candidates, implicitize):
+        calls.clear()
+        run(param)
+        assert [sum(f == g and var == 0 for f, var in calls) for g in curves] == [1, 1], run.__name__
+
+
 def test_plane_route_skips_a_prime_dividing_a_denominator(monkeypatch):
     # the first prime divides the coefficient 1/p; inverting it modulo p
     # was a ValueError traceback.  The generator's coefficients near p
@@ -500,12 +528,12 @@ def test_plane_route_skips_a_prime_dividing_a_denominator(monkeypatch):
 
 NO_POINTS_IN_CHILD = """
 import sys
-from radsurj import modular, parse
-from radsurj.arith import Budget
-from radsurj.missing import component_curve_poly
+from radsurj import missing, modular, parse
+from radsurj.arith import Budget, content_wrt
 modular.PRIMES = tuple(int(p) for p in sys.argv[1:])
 param = parse(sys.stdin.read())
-print(modular.plane_curve(param, [component_curve_poly(param, i) for i in (1, 2)], Budget(10**6)))
+gs = [missing.component_curve_poly(param, i) for i in (1, 2)]
+print(missing.plane_curve(param, [(g, content_wrt(g, 0)) for g in gs], Budget(10**6)))
 """
 
 
@@ -531,13 +559,13 @@ def test_plane_route_declines_after_a_fixed_count_of_primes(monkeypatch):
     # needs five, one more than TRIES, so the route declines after TRIES
     # primes and elimination answers
     used = []
-    points = modular._curve_points
+    points = missing._curve_points
 
     def counted(param, p, rng):
         used.append(p)
         return points(param, p, rng)
 
-    monkeypatch.setattr(modular, "_curve_points", counted)
+    monkeypatch.setattr(missing, "_curve_points", counted)
     param = parse(PLANE_CASES["large-coefficient"])
     for primes, found in ((modular.PRIMES[:1], False), (modular.PRIMES, True)):
         used.clear()
@@ -548,7 +576,7 @@ def test_plane_route_declines_after_a_fixed_count_of_primes(monkeypatch):
     param = parse("tower { d^2 = t; } param { x = d; y = 10^40*t^2 + t; }")
     used.clear()
     assert missing.plane_curve(param, _curves(param), Budget(inf)) is None
-    assert len(used) == modular.TRIES < len(modular.PRIMES)
+    assert len(used) == missing.TRIES < len(modular.PRIMES)
     c = 10**40
     assert [str(g) for g in implicitize(param)] == [f"x^4 + 1/{c}*x^2 - 1/{c}*y"]
 
@@ -601,7 +629,7 @@ def test_missing_029_finishes_with_a_verified_generator(tmp_path, capsys):
     param = parse(src.read_text())
     (f,) = implicitize(param)
     assert str(f) == gen and f.total_degree() == 8
-    assert modular._vanishes(f, param)
+    assert missing._vanishes(f, param)
 
 
 def _missing_elim_corpus(seed):
@@ -613,20 +641,22 @@ def _missing_elim_corpus(seed):
 
 def test_plane_route_finds_each_generator_within_its_box():
     # the bidegree bound is pinned: on every missing_elim seed-0 file the
-    # route declines only for a constant coordinate or a box past
-    # MAX_UNKNOWNS (tall.rs, 19 x 19), and otherwise finds the generator
-    found = 0
+    # route declines only where both coordinates can be constant
+    # (missing_022, a point) or the box is past MAX_UNKNOWNS (tall.rs,
+    # 19 x 19), and otherwise finds the generator
+    declined = []
     for name, text in _missing_elim_corpus(0):
         param = parse(text)
         curves = _curves(param)
-        guarded = any(not content_wrt(g, 0).is_const() for g in curves)
-        e, (gx, gy) = param.tower.exponent_product, curves
+        guarded = all(not c.is_const() for _, c in curves)
+        e, ((gx, _), (gy, _)) = param.tower.exponent_product, curves
         dx, dy = ceil(gy.degree(0) * e / gy.degree(1)), ceil(gx.degree(0) * e / gx.degree(1))
         box = (dx + 1) * (dy + 1)
         f = missing.plane_curve(param, curves, Budget(inf))
-        assert (f is None) == (guarded or box > modular.MAX_UNKNOWNS), name
-        found += f is not None
-    assert found == 37
+        assert (f is None) == (guarded or box > missing.MAX_UNKNOWNS), name
+        if f is None:
+            declined.append(name)
+    assert declined == ["missing_022.rs", "tall.rs"]
 
 
 # ----------------------------------------------------------------------

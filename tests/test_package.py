@@ -84,3 +84,16 @@ def test_every_private_name_is_read_in_its_module():
         }
         dead = sorted(n for n in defined if n.startswith("_") and not n.endswith("__") and n not in read)
         assert not dead, (path.name, dead)
+
+
+def test_modular_imports_nothing_from_the_package():
+    # prime-field arithmetic stays below every other module, so any of
+    # them can call it without an import cycle
+    tree = ast.parse((Path(radsurj.__file__).parent / "modular.py").read_text(encoding="utf-8"))
+    package = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").partition(".")[0] == "radsurj"))
+        or (isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "radsurj" for a in node.names))
+    ]
+    assert not package, package
