@@ -25,7 +25,7 @@ from .missing import (
     infinity_bound,
     missing_candidates,
 )
-from .parser import parse, parse_poly, parse_source, print_source
+from .parser import parse, parse_poly, parse_source
 from .sampler import confirm_candidates, enumerate_branches, sample_images
 from .surjcheck import (
     RadicalParametrization,
@@ -69,7 +69,6 @@ __all__ = [
     "parse",
     "parse_poly",
     "parse_source",
-    "print_source",
     "confirm_candidates",
     "enumerate_branches",
     "sample_images",

@@ -51,7 +51,6 @@ class Role(Enum):
     PARAMETER = "parameter"
     RADICAL = "radical"
     COORDINATE = "coordinate"
-    INVERSE = "inverse"
 
 
 @dataclass(frozen=True)
@@ -498,7 +497,7 @@ class WeightVector:
     """Rational weights per variable.
 
     Invariants: parameter variables weigh 1, radical variables weigh a
-    positive rational, coordinate and inverse variables weigh 0.
+    positive rational, coordinate variables weigh 0.
     """
 
     table: VarTable
@@ -513,7 +512,7 @@ class WeightVector:
                 raise StructuralError("parameter variables must have weight 1")
             if role is Role.RADICAL and w <= 0:
                 raise StructuralError("radical variables must have positive weight")
-            if role in (Role.COORDINATE, Role.INVERSE) and w != 0:
+            if role is Role.COORDINATE and w != 0:
                 raise StructuralError("inert variables must have weight 0")
 
 

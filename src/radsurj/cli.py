@@ -155,7 +155,7 @@ def _run(args: argparse.Namespace) -> int:
         code = EXIT_OK if report.certified else EXIT_INCONCLUSIVE
     elif args.command == "missing":
         report = missing_candidates(param, step_budget=args.budget)
-        doc["missing"] = missing_json(report, param)
+        doc["missing"] = missing_json(report)
     elif args.command == "sample":
         samples = None if points is None else default_samples(points)
         cand = filtered_candidates(param, step_budget=args.budget)

@@ -49,10 +49,9 @@ MAX_UNKNOWNS = 200
 SEED = 20261020
 
 
-def _extended_table(tower: RadicalTower, extra: Sequence[str], role: Role) -> VarTable:
-    names = tower.table.names + tuple(extra)
-    roles = tower.table.roles + (role,) * len(extra)
-    return VarTable(names, roles)
+def _extended_table(tower: RadicalTower, extra: Sequence[str]) -> VarTable:
+    """The tower's table followed by the weight-0 coordinates extra."""
+    return VarTable(tower.table.names + tuple(extra), tower.table.roles + (Role.COORDINATE,) * len(extra))
 
 
 def component_curve_poly(param: RadicalParametrization, i: int) -> MultiPoly | None:
@@ -65,7 +64,7 @@ def component_curve_poly(param: RadicalParametrization, i: int) -> MultiPoly | N
     """
     comp = param.components[i - 1]
     name = param.coordinates[i - 1]
-    table = _extended_table(param.tower, [name], Role.COORDINATE)
+    table = _extended_table(param.tower, [name])
     x = MultiPoly.var(table, name)
     f = x * comp.denominator.transport(table) - comp.numerator.transport(table)
     g = normalized_remainder(f, param.tower)
@@ -89,19 +88,14 @@ class CoordinateCandidates:
     content: MultiPoly | None = None  # cont_t(G_i) over (t, x_i), None if degenerate
 
 
-@dataclass(frozen=True)
-class CandidatePolySet:
-    coordinates: tuple[CoordinateCandidates, ...]
-
-    @property
-    def hyp1_bound(self) -> int | None:
-        """Product of the c_i degrees; None when some G_i degenerated."""
-        bound = 1
-        for coord in self.coordinates:
-            if coord.lead_coeff is None:
-                return None
-            bound *= coord.degree
-        return bound
+def hyp1_bound(coordinates: Sequence[CoordinateCandidates]) -> int | None:
+    """Product of the c_i degrees; None when some G_i degenerated."""
+    bound = 1
+    for coord in coordinates:
+        if coord.lead_coeff is None:
+            return None
+        bound *= coord.degree
+    return bound
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
@@ -143,7 +137,7 @@ def _root_key(z: complex) -> tuple[float, float]:
     return (round(z.real, 9), round(z.imag, 9))
 
 
-def candidate_polys(param: RadicalParametrization) -> CandidatePolySet:
+def candidate_polys(param: RadicalParametrization) -> tuple[CoordinateCandidates, ...]:
     """c_i = leading t-coefficient of the squarefree part of G_i, with roots.
 
     A nonzero constant c_i means coordinate i admits no hypothesis-1
@@ -191,7 +185,7 @@ def candidate_polys(param: RadicalParametrization) -> CandidatePolySet:
             reps.setdefault(_root_key(z), z)
         uniq = tuple(reps[k] for k in sorted(reps))
         coords.append(CoordinateCandidates(name, g, lead, degree, tuple(exact), uniq, note, cont))
-    return CandidatePolySet(tuple(coords))
+    return tuple(coords)
 
 
 def infinity_bound(tower: RadicalTower) -> int:
@@ -388,10 +382,7 @@ def implicitize(
     zname = "z"
     while zname in tower.table.names or zname in param.coordinates:
         zname += "_"
-    table = VarTable(
-        tower.table.names + tuple(param.coordinates) + (zname,),
-        tower.table.roles + (Role.COORDINATE,) * param.n + (Role.INVERSE,),
-    )
+    table = _extended_table(tower, [*param.coordinates, zname])
     gens = [tower.level_poly(j, table=table) for j in range(tower.m)]
     q_distinct: list[MultiPoly] = []
     for comp in param.components:
@@ -414,7 +405,7 @@ class CandidateSet:
     """Candidate missing points and the polynomials that produced them."""
 
     candidates: tuple[tuple[complex, ...], ...]
-    polys: CandidatePolySet
+    coordinates: tuple[CoordinateCandidates, ...]
     implicit: tuple[MultiPoly, ...] | None
     notes: tuple[str, ...]
 
@@ -433,15 +424,15 @@ def filtered_candidates(
     """Cartesian candidates filtered by the implicit equations."""
     filter_tol = DEFAULT_FILTER_TOL
     notes: list[str] = []
-    polys = candidate_polys(param)
+    coordinates = candidate_polys(param)
     try:
-        implicit = implicitize(param, step_budget, [(c.curve_poly, c.content) for c in polys.coordinates])
+        implicit = implicitize(param, step_budget, [(c.curve_poly, c.content) for c in coordinates])
     except ResourceError:
         implicit = None
         notes.append("implicitization budget exhausted, candidates unfiltered")
     axes: list[tuple[complex, ...]] = []
     degenerate = False
-    for coord in polys.coordinates:
+    for coord in coordinates:
         if coord.lead_coeff is None:
             degenerate = True
             notes.append(f"coordinate {coord.name}: {coord.note}")
@@ -458,7 +449,7 @@ def filtered_candidates(
             candidates = [tup for tup, r in zip(candidates, residuals) if not r > filter_tol]
     return CandidateSet(
         tuple(candidates),
-        polys,
+        coordinates,
         tuple(implicit) if implicit is not None else None,
         tuple(notes),
     )
@@ -475,7 +466,7 @@ def missing_candidates(
         notes += ("condition-2 locus budget exhausted for some component",)
     return MissingPointReport(
         found.candidates,
-        found.polys,
+        found.coordinates,
         found.implicit,
         notes,
         infinity_bound(param.tower),

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import MultiPoly
-from .missing import MissingPointReport
+from .missing import MissingPointReport, hyp1_bound
 from .sampler import CandidateVerdict, SampleReport
 from .surjcheck import RadicalParametrization, SurjectivityReport
 
@@ -112,10 +112,10 @@ def surjectivity_json(report: SurjectivityReport, param: RadicalParametrization)
     }
 
 
-def missing_json(report: MissingPointReport, param: RadicalParametrization) -> dict:
+def missing_json(report: MissingPointReport) -> dict:
     return {
         "candidates": [_point(pt) for pt in report.candidates],
-        "hyp1_bound": report.polys.hyp1_bound,
+        "hyp1_bound": hyp1_bound(report.coordinates),
         "infinity_bound": report.infinity_bound,
         "coordinate_polys": [
             {
@@ -127,7 +127,7 @@ def missing_json(report: MissingPointReport, param: RadicalParametrization) -> d
                 "numeric_roots": [_cplx(z) for z in coord.numeric_roots],
                 "note": coord.note,
             }
-            for coord in report.polys.coordinates
+            for coord in report.coordinates
         ],
         "condition2": [
             {

@@ -18,8 +18,8 @@ g_i may mention t and the earlier radicals only.  This module provides
     certificates rest.
 
 Polynomials handed to these operators may live over a table larger
-than the tower's own (extra coordinate or inverse variables); those
-variables are carried through inertly with weight 0.
+than the tower's own (extra coordinates, implicitize's z among them);
+those variables are carried through inertly with weight 0.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ class GuiltReport:
     """Outcome of the degree-drop test for one polynomial; remainder is R(f)."""
 
     expected_degree: Fraction
-    actual_degree: Fraction | float
+    actual_degree: int | float
     guilty: bool
     remainder: MultiPoly
 
@@ -247,9 +247,9 @@ def is_guilty(f: MultiPoly, tower: RadicalTower) -> GuiltReport:
     nf = trace[0]
     if nf.is_zero():
         raise DomainError("polynomial vanishes modulo the tower")
-    wv = tower.weight_vector(f.table)
-    expected = weighted_degree(nf, wv) * tower.exponent_product
-    actual = weighted_degree(trace[-1], wv)
+    expected = weighted_degree(nf, tower.weight_vector(f.table)) * tower.exponent_product
+    # R(f) holds no radical, so its weighted degree is its degree in t
+    actual = trace[-1].degree(f.table.index(tower.table.names[0]))
     return GuiltReport(expected, actual, expected > actual, trace[-1])
 
 

@@ -164,6 +164,22 @@ def random_reduced_poly(rng: Random, tower, tdeg: int = 4, max_terms: int = 4) -
             return f
 
 
+def print_source(param) -> str:
+    """Canonical text form; parse(print_source(P)) reproduces P exactly."""
+    lines = ["tower {"]
+    for level in param.tower.levels:
+        lines.append(f"  {level.name}^{level.exponent} = {level.radicand};")
+    lines.append("}")
+    lines.append("param {")
+    for name, comp in zip(param.coordinates, param.components):
+        if comp.denominator.is_const() and comp.denominator.const_value() == 1:
+            lines.append(f"  {name} = {comp.numerator};")
+        else:
+            lines.append(f"  {name} = ({comp.numerator}) / ({comp.denominator});")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # ----------------------------------------------------------------------
 # reference oracles
 

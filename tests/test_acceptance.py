@@ -20,6 +20,7 @@ from radsurj.missing import (
     candidate_polys,
     component_curve_poly,
     condition2_locus,
+    hyp1_bound,
     implicitize,
     missing_candidates,
 )
@@ -165,7 +166,7 @@ def test_criterion_05_two_root_difference_has_constant_lead():
     gx = MultiPoly.var(g.table, "x")
     assert g == gt**4 - 4 * gx**2 * gt**3 - 2 * gx**2 * gt**2 + gx**4
     polys = candidate_polys(param)
-    coord = polys.coordinates[0]
+    coord = polys[0]
     assert coord.lead_coeff.is_const()
     assert coord.lead_coeff.const_value() == 1
     assert coord.rational_roots == () and coord.numeric_roots == ()
@@ -176,9 +177,9 @@ def test_criterion_06_sharp_bounds_with_four_missing_points():
     started = time.perf_counter()
     param = cotas_param()
     report = missing_candidates(param)
-    assert report.polys.hyp1_bound == 4
+    assert hyp1_bound(report.coordinates) == 4
     assert report.infinity_bound == 4
-    leads = [str(c.lead_coeff) for c in report.polys.coordinates]
+    leads = [str(c.lead_coeff) for c in report.coordinates]
     assert leads == ["x^2 - 1", "y^2 - 2"]
     assert [str(g) for g in report.implicit] == ["x^2 - y^2 + 1"]
     assert len(report.candidates) == 4

@@ -111,7 +111,7 @@ def test_pow_matches_repeated_multiplication(f, k):
 
 WIDE = VarTable(
     ("t", "d1", "d2", "x", "z"),
-    (Role.PARAMETER, Role.RADICAL, Role.RADICAL, Role.COORDINATE, Role.INVERSE),
+    (Role.PARAMETER, Role.RADICAL, Role.RADICAL, Role.COORDINATE, Role.COORDINATE),
 )
 
 

@@ -540,6 +540,7 @@ GOLDEN_CASES = [
         ["rrem", str(DATA / "nested.rs"), "--expr", "d1*d2 + t", "--stable"],
     ),
     ("cotas_missing.json", ["missing", str(DATA / "cotas.rs"), "--stable"]),
+    ("nested_implicitize.json", ["implicitize", str(DATA / "nested.rs"), "--stable"]),
 ]
 
 

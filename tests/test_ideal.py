@@ -367,7 +367,7 @@ def test_common_zeros_matches_sympy_groebner():
 
 CIRCLE_TABLE = VarTable(
     ("t", "d1", "x", "y", "z"),
-    (Role.PARAMETER, Role.RADICAL, Role.COORDINATE, Role.COORDINATE, Role.INVERSE),
+    (Role.PARAMETER, Role.RADICAL, Role.COORDINATE, Role.COORDINATE, Role.COORDINATE),
 )
 
 

@@ -15,11 +15,11 @@ from radsurj.errors import ResourceError
 from radsurj.ideal import DEFAULT_STEP_BUDGET
 from radsurj.missing import (
     DEFAULT_FILTER_TOL,
-    CandidatePolySet,
     CandidateSet,
     CoordinateCandidates,
     candidate_polys,
     component_curve_poly,
+    hyp1_bound,
     implicitize,
     infinity_bound,
     missing_candidates,
@@ -130,23 +130,23 @@ def test_component_curve_poly_rational_component_is_graph():
 
 def test_candidate_polys_certified_circle_has_none():
     polys = candidate_polys(circle_param())
-    assert polys.hyp1_bound == 0
-    for coord in polys.coordinates:
+    assert hyp1_bound(polys) == 0
+    for coord in polys:
         assert coord.degree == 0
         assert coord.numeric_roots == ()
 
 
 def test_candidate_polys_rational_circle():
     polys = candidate_polys(rational_circle())
-    cx, cy = polys.coordinates
+    cx, cy = polys
     assert cx.rational_roots == (Fraction(0),)
     assert cy.rational_roots == (Fraction(1),)
-    assert polys.hyp1_bound == 1
+    assert hyp1_bound(polys) == 1
 
 
 def test_candidate_polys_sharp_example():
     polys = candidate_polys(sharp_bounds_param())
-    cx, cy = polys.coordinates
+    cx, cy = polys
     x = MultiPoly.var(cx.curve_poly.table, "x")
     assert cx.lead_coeff == x**2 - 1
     assert cx.rational_roots == (Fraction(-1), Fraction(1))
@@ -155,19 +155,19 @@ def test_candidate_polys_sharp_example():
         [-(2**0.5), 2**0.5], abs=1e-9
     )
     assert all(abs(z.imag) < 1e-9 for z in cy.numeric_roots)
-    assert polys.hyp1_bound == 4
+    assert hyp1_bound(polys) == 4
 
 
 def test_candidate_polys_keeps_content_roots():
     # the x-component of the axis instance is identically zero, so its
     # curve polynomial is x^2; the root 0 must survive the cleanup
     polys = candidate_polys(axis_param())
-    cx, cy = polys.coordinates
+    cx, cy = polys
     assert cx.rational_roots == (Fraction(0),)
     assert cx.degree == 1
     assert cx.note == "curve polynomial is constant in t"
     assert cy.rational_roots == (Fraction(0),)
-    assert polys.hyp1_bound == 1
+    assert hyp1_bound(polys) == 1
 
 
 def test_candidate_roots_come_from_the_squarefree_lead():
@@ -176,7 +176,7 @@ def test_candidate_roots_come_from_the_squarefree_lead():
     # iteration did not converge on the leads themselves
     params = list(_agreement_params())
     for k, roots in ((13, (-3, 2)), (18, (Fraction(-1, 2), 0))):
-        coords = candidate_polys(params[k]).coordinates
+        coords = candidate_polys(params[k])
         assert [c.degree for c in coords] == [4, 4]
         assert [c.rational_roots for c in coords] == [(r,) for r in roots]
         assert [c.numeric_roots for c in coords] == [(complex(r),) for r in roots]
@@ -190,7 +190,7 @@ def test_candidate_roots_of_a_double_lead_are_distinct():
         "param { x = (d1*d2 + d1 - 2) / (-t^2 + 3*t);\n"
         "        y = (3*t^2 + 2*d1*d2) / (-t^2 + 3*t); }\n"
     )
-    cx = candidate_polys(param).coordinates[0]
+    cx = candidate_polys(param)[0]
     assert str(cx.lead_coeff) == "x^4 + 12*x^2 + 36" and cx.degree == 4
     assert sorted(z.imag for z in cx.numeric_roots) == pytest.approx([-(6**0.5), 6**0.5], abs=1e-8)
     assert all(abs(z.real) < 1e-8 for z in cx.numeric_roots)
@@ -199,9 +199,9 @@ def test_candidate_roots_of_a_double_lead_are_distinct():
 CANDIDATES_IN_CHILD = """
 import sys
 from radsurj import parse
-from radsurj.missing import candidate_polys
+from radsurj.missing import candidate_polys, hyp1_bound
 polys = candidate_polys(parse(sys.stdin.read()))
-print([str(c.lead_coeff) for c in polys.coordinates], polys.hyp1_bound)
+print([str(c.lead_coeff) for c in polys], hyp1_bound(polys))
 """
 
 
@@ -227,7 +227,7 @@ def test_rational_sieve_bound():
         param, _ = normalize_param(
             RadicalTower(T_ONLY, []), [(c * ONET, ONET), (tt, ONET)], ["x", "y"]
         )
-        cx = candidate_polys(param).coordinates[0]
+        cx = candidate_polys(param)[0]
         assert cx.rational_roots == ((Fraction(c),) if sieved else ())
         assert cx.numeric_roots == pytest.approx([c])
         skipped = "; rational root sieve skipped, coefficients too large"
@@ -328,13 +328,13 @@ def test_hypothesis2_exact_agrees_with_condition2_locus(monkeypatch):
     # division steps and can spare the basis.  The candidate stage,
     # which the loci do not read, is stubbed out: implicitize stalls
     # on some of these instances
-    stub = CandidateSet((), CandidatePolySet(()), None, ())
+    stub = CandidateSet((), (), None, ())
     monkeypatch.setattr(missing, "filtered_candidates", lambda param, budget: stub)
     kinds = []
     for param in _agreement_params():
         for budget in (0, 1, 3, DEFAULT_STEP_BUDGET):
             checked = surjectivity_json(check_surjective(param, step_budget=budget), param)
-            loci = missing_json(missing_candidates(param, budget), param)["condition2"]
+            loci = missing_json(missing_candidates(param, budget))["condition2"]
             for i, (comp, locus) in enumerate(zip(checked["components"], loci), start=1):
                 fields = (comp["hyp2_established"], comp["hyp2_route"], comp["hyp2_exact"])
                 kind = locus["classification"]
@@ -668,19 +668,19 @@ def test_missing_candidates_rational_circle_north_pole():
     assert len(rep.candidates) == 1
     (cand,) = rep.candidates
     assert abs(cand[0]) < 1e-12 and abs(cand[1] - 1) < 1e-12
-    assert rep.polys.hyp1_bound == 1
+    assert hyp1_bound(rep.coordinates) == 1
     assert rep.infinity_bound == 1
 
 
 def test_missing_candidates_sharp_counts_and_filter():
     rep = missing_candidates(sharp_bounds_param())
     assert len(rep.candidates) == 4
-    assert rep.polys.hyp1_bound == 4 and rep.infinity_bound == 4
+    assert hyp1_bound(rep.coordinates) == 4 and rep.infinity_bound == 4
     xs = sorted(c[0].real for c in rep.candidates)
     assert xs == pytest.approx([-1, -1, 1, 1])
     ys = sorted(abs(c[1].real) for c in rep.candidates)
     assert ys == pytest.approx([2**0.5] * 4)
-    assert [g for g in rep.implicit] and len(rep.candidates) <= rep.polys.hyp1_bound
+    assert [g for g in rep.implicit] and len(rep.candidates) <= hyp1_bound(rep.coordinates)
     assert all(loc.classification == "finite" for loc in rep.condition2)
 
 
@@ -691,13 +691,13 @@ def test_missing_candidates_filter_removes_off_curve_tuples():
     param = normalize_param(tower, [(tt**2 - tt, ONET), (tt, ONET)])[0]
     rep = missing_candidates(param)
     assert rep.candidates == ()
-    assert rep.polys.hyp1_bound == 0
+    assert hyp1_bound(rep.coordinates) == 0
 
 
 def test_missing_candidates_certified_instance_is_empty():
     rep = missing_candidates(circle_param())
     assert rep.candidates == ()
-    assert rep.polys.hyp1_bound == 0
+    assert hyp1_bound(rep.coordinates) == 0
     assert rep.condition2[0].classification == "empty"
 
 
@@ -725,7 +725,7 @@ def filtered_like_point_rule(monkeypatch, axes, implicit):
         CoordinateCandidates(name, None, MultiPoly.one(table), len(roots), (), tuple(roots))
         for name, roots in zip(table.names, axes)
     )
-    monkeypatch.setattr(missing, "candidate_polys", lambda param: CandidatePolySet(coords))
+    monkeypatch.setattr(missing, "candidate_polys", lambda param: coords)
     monkeypatch.setattr(missing, "implicitize", lambda param, budget, curves: list(implicit))
     want = [
         tup

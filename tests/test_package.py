@@ -1,4 +1,6 @@
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import radsurj
@@ -97,3 +99,35 @@ def test_modular_imports_nothing_from_the_package():
         or (isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "radsurj" for a in node.names))
     ]
     assert not package, package
+
+
+def _loads(tree: ast.AST) -> Counter:
+    """How often each name is read, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_public_function_is_read_by_the_package_or_documented():
+    # a function only the tests call, such as an oracle or a printer,
+    # belongs in tests/support.py
+    readme = (Path(radsurj.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    library_use = readme.partition("## Library use")[2].partition("\n## ")[0]
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(radsurj.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    loads = sum(map(_loads, trees), Counter())
+    unread = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and loads[node.name] == _loads(node)[node.name]
+        and not re.search(rf"\b{node.name}\b", library_use)
+    ]
+    assert not unread, unread

@@ -6,7 +6,9 @@ import pytest
 
 from radsurj.arith import MultiPoly, Role, VarTable
 from radsurj.errors import InputError, ParseError
-from radsurj.parser import MAX_NESTING, parse, parse_poly, parse_source, print_source
+from radsurj.parser import MAX_NESTING, parse, parse_poly, parse_source
+
+from support import print_source
 
 CIRCLE = """
 tower {
