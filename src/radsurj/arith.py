@@ -21,6 +21,9 @@ to Fractions only at the end, keeping the key order of the loop on
 exponent tuples.  tower.tower_norm runs its whole determinant expansion
 on the same packed form.
 
+Gcds run in the modular module, on integer multiples of the inputs,
+and poly_gcd keeps a candidate only once division here proves it.
+
 Remainders run on a second packing, one int per monomial that compares
 as a TermOrder does and shifts and tests divisibility by integer
 operations.  reduce_full is the one reduction loop on it: poly_divmod,
@@ -36,6 +39,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import modular
 from .errors import DomainError, ResourceError, StructuralError
 
 NEG_INF = float("-inf")
@@ -739,37 +743,6 @@ def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 # ----------------------------------------------------------------------
-# pseudo-division
-
-
-def prem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Pseudo-remainder of a by b in var: lc(b)^(da-db+1)*a mod b."""
-    a._check(b)
-    db = b.degree(var)
-    if db is NEG_INF:
-        raise DomainError("pseudo-division by zero")
-    da = a.degree(var)
-    if da < db:
-        return a
-    db = int(db)
-    lcb = b.coeff_poly(var, db)
-    steps = int(da) - db + 1
-    r = a
-    while True:
-        dr = r.degree(var)
-        if dr is NEG_INF or dr < db:
-            break
-        dr = int(dr)
-        top = r.coeff_poly(var, dr)
-        shift = tuple(dr - db if j == var else 0 for j in range(a.table.arity))
-        r = lcb * r - top * b * MultiPoly.monomial(a.table, shift)
-        steps -= 1
-    if steps:
-        r = r * lcb ** steps
-    return r
-
-
-# ----------------------------------------------------------------------
 # gcd, content, squarefree part
 
 
@@ -799,45 +772,51 @@ def content_wrt(f: MultiPoly, var: int) -> MultiPoly:
     return acc
 
 
-def primitive_wrt(f: MultiPoly, var: int) -> MultiPoly:
-    """f divided by its content in var, then unit-normalized; 0 stays 0."""
-    if f.is_zero():
-        return f
-    return _unit_normalize(exact_div(f, content_wrt(f, var)))
+def _gcd_quotient(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """(h, f / h) for a gcd h of nonzero f and g, up to a scalar.
+
+    The candidates come from modular.gcd_lifts on integer multiples of
+    f and g, one per prime.  A candidate is accepted once division
+    shows that it divides f and g, which a constant always does;
+    otherwise the next one is tried, so bad luck costs time and never
+    the answer.  More than two variables between f and g raise
+    DomainError.
+    """
+    if not f.variables() & g.variables():
+        return MultiPoly.one(f.table), f
+    if len(f.variables() | g.variables()) > 2:
+        raise DomainError("gcds take polynomials in at most two variables")
+    ints = ({e: c.numerator for e, c in _unit_normalize(h).coeffs.items()} for h in (f, g))
+    for lift in modular.gcd_lifts(*ints):
+        h = MultiPoly._raw(f.table, {e: Fraction(lift[e]) for e in sorted(lift, key=_grlex_key, reverse=True)})
+        if h.is_const():
+            return h, f * (1 / h.const_value())
+        quot, rem = poly_divmod(f, h)
+        if not (rem or poly_divmod(g, h)[1]):
+            return h, quot
+    raise AssertionError("modular.gcd_lifts stopped lifting")
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Multivariate gcd over the rationals by the primitive PRS.
+    """Gcd over the rationals of polynomials in at most two variables
+    between them, by Brown's modular algorithm (_gcd_quotient).
 
-    Each pseudo-remainder is replaced by its unit-normalized primitive
-    part, or its coefficient size would roughly double at every step.
     The result is unit-normalized: integer coefficients, content 1,
-    positive leading graded lex coefficient.  gcd(0, 0) = 0 and the gcd
-    of anything with a nonzero constant is 1.
+    positive leading graded lex coefficient; for nonzero f and g its
+    terms come in descending graded lex order.  gcd(0, 0) = 0 and the
+    gcd of anything with a nonzero constant is 1.
     """
     f._check(g)
     if f.is_zero():
         return _unit_normalize(g)
     if g.is_zero():
         return _unit_normalize(f)
-    common = f.variables() & g.variables()
-    if not common:
-        return MultiPoly.one(f.table)
-    x = max(common)
-    cf = content_wrt(f, x)
-    cg = content_wrt(g, x)
-    c = poly_gcd(cf, cg)
-    a = exact_div(f, cf)
-    b = exact_div(g, cg)
-    if a.degree(x) < b.degree(x):
-        a, b = b, a
-    while not b.is_zero():
-        a, b = b, primitive_wrt(prem(a, b, x), x)
-    return _unit_normalize(c * a)
+    return _unit_normalize(_gcd_quotient(f, g)[0])
 
 
 def squarefree_part(f: MultiPoly, var: int) -> MultiPoly:
-    """Product of the distinct irreducible factors involving var.
+    """Product of the distinct irreducible factors involving var: f
+    over gcd(f, df/dvar), the quotient that proved the gcd.
 
     Unit-normalized like poly_gcd.  A polynomial of degree 0 in var has
     squarefree part 1 by convention; callers that need to keep such
@@ -847,5 +826,4 @@ def squarefree_part(f: MultiPoly, var: int) -> MultiPoly:
         raise DomainError("squarefree part of the zero polynomial")
     if f.degree(var) <= 0:
         return MultiPoly.one(f.table)
-    rad = poly_gcd(f, f.derivative(var))
-    return _unit_normalize(exact_div(f, rad))
+    return _unit_normalize(_gcd_quotient(f, f.derivative(var))[1])

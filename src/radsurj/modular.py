@@ -2,12 +2,15 @@
 
 Word primes, roots modulo a prime, rational reconstruction (Wang 1981;
 Monagan, "Maximal quotient rational reconstruction", ISSAC 2004),
-evaluation of a coefficient map modulo a prime, and the first linear
+evaluation of a coefficient map modulo a prime, the first linear
 dependency among monomial columns evaluated at points modulo a prime
 (undetermined coefficients: Sederberg, Anderson and Goldman, CVGIP 28,
-1984).  This module imports nothing from the rest of the package, so
-any module can build on it; the callers prove each answer exactly, so a
-bad prime or an unlucky draw can only cost time.
+1984), and the gcd over Z of polynomials in one or two variables by
+evaluation, interpolation and Chinese remaindering (Brown, "On Euclid's
+algorithm and the computation of polynomial greatest common divisors",
+J. ACM 18, 1971).  This module imports nothing from the rest of the
+package, so any module can build on it; the callers prove each answer
+exactly, so a bad prime or an unlucky draw can only cost time.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from random import Random
 from typing import Iterator, Mapping, Sequence
 
 # 62-bit primes, one per residue class mod 24 of the primes above 3.
@@ -31,6 +35,8 @@ PRIMES = (
     4611686018427387587,
     4611686018427387787,
 )
+# Miller-Rabin with these bases is exact below 3.3 * 10^24
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 FIRST_POINTS = 8  # points drawn at first; later batches double the rows
 SLACK = 2  # each column meets at least SLACK + 1 rows beyond the pivots
 
@@ -150,3 +156,260 @@ def first_dependency(
         inv = pow(v[r], -1, p)
         pivots.append((r, [x * inv % p for x in v], [x * inv % p for x in c]))
     return len(monos), []
+
+
+# ----------------------------------------------------------------------
+# gcd over Z by evaluation and interpolation
+#
+# A polynomial in a main variable x and another variable y is dense: a
+# list over the powers of x of lists over the powers of y, each trimmed
+# of zeros at the top, [] for a zero coefficient.  A polynomial in y
+# alone is one such inner list.
+
+Dense = list[list[int]]
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin below 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = odd_part(n - 1)
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterator[int]:
+    """PRIMES, then every other prime below 2^62 from the top down, so
+    the supply never runs out however few PRIMES holds."""
+    yield from PRIMES
+    n = (1 << 62) - 1
+    while True:
+        if n not in PRIMES and _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _points(p: int) -> Iterator[int]:
+    """Every residue modulo p once, in a seeded order: an arithmetic
+    progression with a random start and step."""
+    rng = Random(p)
+    start, step = rng.randrange(p), rng.randrange(1, p)
+    return ((start + k * step) % p for k in range(p))
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _eval(a: list[int], b: int, p: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = (v * b + c) % p
+    return v
+
+
+def _rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b in F_p[y], b nonzero."""
+    r, inv, db = a[:], pow(b[-1], -1, p), len(b) - 1
+    while len(r) > db:
+        q, s = r.pop() * inv % p, len(r) - db
+        for j in range(db):
+            r[s + j] = (r[s + j] - q * b[j]) % p
+        _trim(r)
+    return r
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """a * b in Z[y]."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _quo(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b in Z[y] for nonzero a and b, or None when b does not
+    divide a; for a primitive b, b divides a over Q only if every
+    quotient coefficient is an integer (Gauss's lemma)."""
+    r, db = a[:], len(b) - 1
+    if len(r) <= db:
+        return None
+    q = [0] * (len(r) - db)
+    for i in reversed(range(len(q))):
+        c, m = divmod(r[i + db], b[-1])
+        if m:
+            return None
+        q[i] = c
+        for j, x in enumerate(b):
+            r[i + j] -= c * x
+    return None if any(r) else q
+
+
+def _interpolate(points: list[int], rows: list[list[int]], p: int) -> Dense:
+    """Per column i of rows, the polynomial in y of degree below
+    len(points) that takes rows[k][i] at points[k], modulo p."""
+    n = len(points)
+    master = [1]  # prod (y - b)
+    for b in points:
+        master = [(lo - b * hi) % p for lo, hi in zip([0, *master], [*master, 0])]
+    basis = []  # the Lagrange polynomials
+    for b in points:
+        q, acc = [0] * n, 0
+        for k in range(n, 0, -1):  # master / (y - b)
+            acc = q[k - 1] = (master[k] + b * acc) % p
+        w = pow(_eval(q, b, p), -1, p)
+        basis.append([c * w % p for c in q])
+    out = []
+    for i in range(len(rows[0])):
+        col = [0] * n
+        for row, lag in zip(rows, basis):
+            if row[i]:
+                col = [(c + row[i] * x) % p for c, x in zip(col, lag)]
+        out.append(_trim(col))
+    return out
+
+
+def _verified(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(h, [a / h for a in polys]) for the gcd h in Z[y] of nonzero
+    polys, content 1; each lift of _brown is kept only once it divides
+    every poly exactly."""
+    for lift in _brown([[[c] if c else [] for c in a] for a in polys]):
+        h = [r[0] if r else 0 for r in lift]
+        quots = [_quo(a, h) for a in polys]
+        if None not in quots:
+            return h, quots
+    raise AssertionError("_brown stopped lifting")
+
+
+def _primitive(f: Dense) -> tuple[list[int], Dense]:
+    """The content of f in x and the quotient of f by it."""
+    content, quots = _verified([a for a in f if a])
+    it = iter(quots)
+    return content, [next(it) if a else [] for a in f]
+
+
+def _brown(polys: list[Dense]) -> Iterator[Dense]:
+    """Lifts of the gcd of the primitive parts in x of polys, each with
+    content 1 over Z, one per prime that completes one; the true gcd
+    comes once enough primes are combined.
+
+    gamma, the gcd of the leading coefficients in x, is a multiple of
+    the gcd's.  At a point b with gamma(b) != 0 mod p the gcd keeps its
+    degree in x, so the monic gcd of the images has at least that
+    degree: degree 0 proves the gcd is 1, and an image of a degree above
+    the lowest seen is unlucky and dropped, with its prime when every
+    point there is.  The images are scaled to leading coefficient
+    gamma(b) and interpolated on deg gamma + min deg_y + 1 points, then
+    combined with earlier primes by Chinese remaindering.  A lift is
+    given out once the newest prime leaves it unchanged or no
+    coefficient exceeds sqrt(m / 2), m the product of the primes.
+    """
+    if any(len(f) == 1 for f in polys):
+        yield [[1]]
+        return
+    leads = [f[-1] for f in polys]
+    gamma = [math.gcd(*(c for a in leads for c in a))]
+    if any(len(a) > 1 for f in polys for a in f):
+        gamma = [gamma[0] * c for c in _verified(leads)[0]]
+    need = len(gamma) + min(max(map(len, f)) for f in polys) - 1
+    deg, acc, modulus, last = None, None, 1, None
+    for p in _primes():
+        gp = _trim([c % p for c in gamma])
+        if not gp:
+            continue
+        mods = [[[c % p for c in a] for a in f] for f in polys]
+        points, rows = [], []
+        good = (b for b in _points(p) if _eval(gp, b, p))
+        for b in islice(good, 2 * need):
+            h: list[int] = []
+            for f in mods:
+                image = _trim([_eval(a, b, p) for a in f])
+                while image:
+                    h, image = image, _rem(h, image, p)
+            if not h or deg is not None and len(h) > deg:
+                continue
+            if len(h) == 1:
+                yield [[1]]
+                return
+            if deg is None or len(h) < deg:
+                deg, acc, modulus, last, points, rows = len(h), None, 1, None, [], []
+            scale = _eval(gp, b, p) * pow(h[-1], -1, p) % p
+            points.append(b)
+            rows.append([c * scale % p for c in h])
+            if len(points) == need:
+                break
+        else:
+            continue  # too few points: the prime is unlucky or too small
+        image = _interpolate(points, rows, p)
+        if acc is None:
+            acc = image
+        else:
+            inv = pow(modulus, -1, p)
+            acc = [[u + modulus * ((v - u) * inv % p) for u, v in zip(ru, rv)] for ru, rv in zip(acc, image)]
+        modulus *= p
+        half = modulus // 2
+        lift = [_trim([u - modulus if u > half else u for u in r]) for r in acc]
+        bound = math.isqrt(half)
+        if lift == last or all(abs(c) <= bound for a in lift for c in a):
+            h = lift if all(len(a) <= 1 for a in lift) else _primitive(lift)[1]
+            k = math.gcd(*(c for a in h for c in a))
+            yield [[c // k for c in a] for a in h]
+        last = lift
+
+
+def gcd_lifts(
+    f: Mapping[tuple[int, ...], int], g: Mapping[tuple[int, ...], int]
+) -> Iterator[dict[tuple[int, ...], int]]:
+    """Candidates for gcd(f, g) over Z, up to sign, one per prime that
+    completes a lift, for nonzero integer maps {exponents: c} in which
+    one or two variables occur, one of them in both; the main variable x
+    is the last common one.
+
+    The contents in x, polynomials in the other variable y, and their
+    gcd c come first, from the same routine with y as main variable,
+    each proven by exact division.  Each candidate is c times a lift of
+    _brown for the primitive parts.  One that divides f and g is the
+    gcd: its degree in x is an image degree, at least the gcd's, and no
+    common divisor has more; its factor c is the gcd of the contents.
+    """
+    n = len(next(iter(f)))
+    both = [{i for e in h for i, k in enumerate(e) if k} for h in (f, g)]
+    main = max(both[0] & both[1])
+    other = next((i for i in both[0] | both[1] if i != main), None)
+
+    def dense(h: Mapping[tuple[int, ...], int]) -> Dense:
+        out: Dense = [[] for _ in range(max(e[main] for e in h) + 1)]
+        for e, c in h.items():
+            row, j = out[e[main]], 0 if other is None else e[other]
+            row.extend([0] * (j + 1 - len(row)))
+            row[j] = c
+        return out
+
+    (cf, pf), (cg, pg) = _primitive(dense(f)), _primitive(dense(g))
+    content = _verified([cf, cg])[0]
+    for lift in _brown([pf, pg]):
+        out = {}
+        for i, a in enumerate(lift):
+            for j, c in enumerate(_mul(content, a)):
+                if c:
+                    e = [0] * n
+                    e[main] = i
+                    if other is not None:
+                        e[other] = j
+                    out[tuple(e)] = c
+        yield out

@@ -12,7 +12,8 @@ Groebner reduction on immutable polynomials, division with remainder
 on exponent tuples under graded lex, the tower normal form by
 substitution, the term order key that
 dispatched on each call, Buchberger on exponent tuples, the primitive
-PRS gcd that kept each remainder's rational scalar, hypothesis 2 on
+PRS gcd with the pseudo-remainder it runs on, the same PRS keeping each
+remainder's rational scalar, hypothesis 2 on
 the common-zero ideal without the resultant gcd h) are second
 implementations that the tests compare the package against.
 """
@@ -32,6 +33,7 @@ import sympy
 import radsurj
 
 from radsurj.arith import (
+    NEG_INF,
     Budget,
     MultiPoly,
     Role,
@@ -40,7 +42,6 @@ from radsurj.arith import (
     _unit_normalize,
     exact_div,
     poly_gcd,
-    prem,
 )
 from radsurj.errors import DomainError, InputError, RadsurjError, ResourceError, StructuralError
 from radsurj.ideal import DEFAULT_STEP_BUDGET, common_zeros
@@ -573,13 +574,76 @@ def buchberger_ref(gens, order, step_budget: int) -> tuple[MultiPoly, ...]:
     return tuple(g for _, g in reduced)
 
 
-def content_wrt_ref(f: MultiPoly, var: int) -> MultiPoly:
-    """Content in var as poly_gcd_ref computes it."""
+def prem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
+    """Pseudo-remainder of a by b in var: lc(b)^(da-db+1)*a mod b."""
+    a._check(b)
+    db = b.degree(var)
+    if db is NEG_INF:
+        raise DomainError("pseudo-division by zero")
+    da = a.degree(var)
+    if da < db:
+        return a
+    db = int(db)
+    lcb = b.coeff_poly(var, db)
+    steps = int(da) - db + 1
+    r = a
+    while True:
+        dr = r.degree(var)
+        if dr is NEG_INF or dr < db:
+            break
+        dr = int(dr)
+        top = r.coeff_poly(var, dr)
+        shift = tuple(dr - db if j == var else 0 for j in range(a.table.arity))
+        r = lcb * r - top * b * MultiPoly.monomial(a.table, shift)
+        steps -= 1
+    if steps:
+        r = r * lcb ** steps
+    return r
+
+
+def primitive_wrt(f: MultiPoly, var: int) -> MultiPoly:
+    """f divided by its content in var, then unit-normalized; 0 stays 0."""
+    if f.is_zero():
+        return f
+    return _unit_normalize(exact_div(f, content_wrt_ref(f, var, poly_gcd_prs)))
+
+
+def poly_gcd_prs(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """arith.poly_gcd before the modular gcd: the primitive PRS.
+
+    Each pseudo-remainder is replaced by its unit-normalized primitive
+    part, or its coefficient size would roughly double at every step.
+    The result is unit-normalized as in the package; it takes any
+    number of variables.
+    """
+    f._check(g)
+    if f.is_zero():
+        return _unit_normalize(g)
+    if g.is_zero():
+        return _unit_normalize(f)
+    common = f.variables() & g.variables()
+    if not common:
+        return MultiPoly.one(f.table)
+    x = max(common)
+    cf = content_wrt_ref(f, x, poly_gcd_prs)
+    cg = content_wrt_ref(g, x, poly_gcd_prs)
+    c = poly_gcd_prs(cf, cg)
+    a = exact_div(f, cf)
+    b = exact_div(g, cg)
+    if a.degree(x) < b.degree(x):
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, primitive_wrt(prem(a, b, x), x)
+    return _unit_normalize(c * a)
+
+
+def content_wrt_ref(f: MultiPoly, var: int, gcd) -> MultiPoly:
+    """Content in var as the gcd oracle gcd computes it."""
     acc = MultiPoly.zero(f.table)
     for c in f.univariate_coeffs(var):
         if c.is_zero():
             continue
-        acc = poly_gcd_ref(acc, c)
+        acc = gcd(acc, c)
         if acc.is_const():
             break
     return acc
@@ -590,7 +654,7 @@ def primitive_wrt_ref(f: MultiPoly, var: int) -> MultiPoly:
     univariate f the content is 1 and nothing is removed."""
     if f.is_zero():
         return f
-    return exact_div(f, content_wrt_ref(f, var))
+    return exact_div(f, content_wrt_ref(f, var, poly_gcd_ref))
 
 
 def poly_gcd_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -611,8 +675,8 @@ def poly_gcd_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if not common:
         return MultiPoly.one(f.table)
     x = max(common)
-    cf = content_wrt_ref(f, x)
-    cg = content_wrt_ref(g, x)
+    cf = content_wrt_ref(f, x, poly_gcd_ref)
+    cg = content_wrt_ref(g, x, poly_gcd_ref)
     c = poly_gcd_ref(cf, cg)
     a = exact_div(f, cf)
     b = exact_div(g, cg)

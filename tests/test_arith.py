@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -6,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radsurj import arith
+from radsurj import arith, modular
 from radsurj.arith import (
     NEG_INF,
     Budget,
@@ -15,16 +16,19 @@ from radsurj.arith import (
     TermOrder,
     VarTable,
     WeightVector,
+    _unit_normalize,
+    content_wrt,
     exact_div,
     leading_form,
     poly_divmod,
     poly_gcd,
-    prem,
     squarefree_part,
     weighted_degree,
 )
 from radsurj.errors import DomainError, ResourceError, StructuralError
 from radsurj.ideal import buchberger
+from radsurj.missing import component_curve_poly
+from radsurj.parser import parse
 from radsurj.tower import RadicalLevel, RadicalTower, normal_form
 
 from support import (
@@ -32,11 +36,14 @@ from support import (
     TD12,
     T_ONLY,
     complex_eval_corpus,
+    content_wrt_ref,
     eval_complex_ref,
     exact_div_ref,
     mul_ref,
     poly_divmod_ref,
+    poly_gcd_prs,
     poly_gcd_ref,
+    prem,
     random_nonzero_poly,
     random_poly,
     resultant,
@@ -513,17 +520,109 @@ def gcd_corpus(rng: Random):
     return pairs
 
 
+# missing_elim seed-0 inputs (bench/gen.py) whose curve polynomials
+# G(t, x), of t-degree 8 and up to 33 terms, took the PRS squarefree
+# part 15-55 ms each
+CURVE_SOURCES = (
+    "tower { d1^2 = t^2; d2^2 = 3*t^2 - 3*t; }"
+    " param { x = (-3*t*d1) / (t); y = (-t^2 + 2*d1*d2 + d2) / (t); }",
+    "tower { d1^2 = 3*t^2 + t; d2^2 = -t^2 - t; }"
+    " param { x = (-3*t^2) / (-t^2 + 3*t - 2); y = (-2*t*d1 + 2*t) / (-t^2 + 3*t - 2); }",
+    "tower { d1^2 = 3*t^2 + 1; d2^2 = -2*t^2; }"
+    " param { x = (d1*d2 + d1 - 2) / (-t^2 + 3*t); y = (3*t^2 + 2*d1*d2) / (-t^2 + 3*t); }",
+    "tower { d1^2 = 2*t^2 - 2*t - 2; d2^2 = -t^2 + 2*t + 1; }"
+    " param { x = (-d2 - 3) / (2*t^2 + 2); y = (3*t^2 - 2*t*d2 + 2*d1) / (2*t^2 + 2); }",
+    "tower { d1^2 = t^2; d2^2 = t^2 + 3; }"
+    " param { x = (3*t*d1 + t - 2*d2) / (-2*t + 1); y = (-2*t*d1) / (-2*t + 1); }",
+)
+
+
+def curve_gcd_pairs():
+    """(G, dG/dt) for every curve polynomial G of CURVE_SOURCES, and for
+    G times the t-free content (x - 3)^2 (2x + 1)."""
+    pairs = []
+    for source in CURVE_SOURCES:
+        param = parse(source)
+        for i in (1, 2):
+            g = component_curve_poly(param, i)
+            x = MultiPoly.var(g.table, g.table.names[1])
+            for f in (g, g * (x - 3) ** 2 * (2 * x + 1)):
+                pairs.append((f, f.derivative(0)))
+    return pairs
+
+
 def test_poly_gcd_matches_unnormalized_prs_reference():
     pairs = gcd_corpus(Random(20261018))
     assert len(pairs) >= 200
-    for i, (f, g) in enumerate(pairs):
-        ours, ref = poly_gcd(f, g), poly_gcd_ref(f, g)
-        assert ours == ref
-        assert list(ours.coeffs) == list(ref.coeffs)
-        if i % 5 or f.is_zero() or g.is_zero():
+    curves = curve_gcd_pairs()
+    assert sum(not poly_gcd(*pair).is_const() for pair in curves[::2]) >= 5  # G not squarefree
+    for i, (f, g) in enumerate(pairs + curves):
+        ours = poly_gcd(f, g)
+        assert ours == poly_gcd_prs(f, g)
+        if f and g:
+            assert list(ours.coeffs) == sorted(ours.coeffs, key=lambda e: (sum(e), e), reverse=True)
+        if i < len(pairs):
+            assert ours == poly_gcd_ref(f, g)
+        else:
+            assert content_wrt(f, 0) == content_wrt_ref(f, 0, poly_gcd_prs)
+            assert squarefree_part(f, 0) == _unit_normalize(exact_div(f, poly_gcd_prs(f, g)))
+        if i < len(pairs) and i % 5 or f.is_zero() or g.is_zero():
             continue
         theirs = sympy.gcd(to_sympy(f), to_sympy(g))
         assert sympy.simplify(to_sympy(ours) / theirs).is_constant()
+
+
+def test_poly_gcd_survives_forced_bad_luck(monkeypatch):
+    tt, x = MultiPoly.var(TX, "t"), MultiPoly.var(TX, "x")
+    lifts = []
+    gcd_lifts, points, primes = modular.gcd_lifts, modular._points, modular.PRIMES
+
+    def spy(f, g):
+        for lift in gcd_lifts(f, g):
+            lifts.append(lift)
+            yield lift
+
+    monkeypatch.setattr(modular, "gcd_lifts", spy)
+
+    def check(f, g, want):
+        lifts.clear()
+        assert poly_gcd(f, g) == poly_gcd_prs(f, g) == want
+
+    # the first prime divides the gcd of the leading coefficients, so
+    # every image there loses degree: gcd 1 modulo 97
+    monkeypatch.setattr(modular, "PRIMES", (97, *primes))
+    check((97 * tt + 3) * (tt + 5), (97 * tt + 3) * (tt - 7), 97 * tt + 3)
+    # the first point makes both images (x - 1)^2, a degree above the gcd's
+    monkeypatch.setattr(modular, "_points", lambda p: itertools.chain([1], points(p)))
+    check((x - 1) * (x - tt), (x - 1) * (x + tt - 2), x - 1)
+    # at the first point the leading coefficient t of both vanishes and
+    # the images x + 1 and x + 2 are coprime
+    monkeypatch.setattr(modular, "_points", lambda p: itertools.chain([0], points(p)))
+    check((tt * x + 1) * (x + 1), (tt * x + 1) * (x + 2), tt * x + 1)
+    # modulo 97 alone the gcd t + 100 lifts to t + 3, which fails the
+    # trial division; the next prime comes from the search below 2^62
+    monkeypatch.setattr(modular, "PRIMES", (97,))
+    check((tt + 100) * (tt + 1), (tt + 100) * (tt - 1), tt + 100)
+    assert [lift[(0, 0)] for lift in lifts] == [3, 100]
+
+
+def test_gcd_finds_primes_past_a_shrunk_prime_tuple(monkeypatch):
+    # the plane-curve tests shrink modular.PRIMES to one prime; gcds whose
+    # coefficients need three 62-bit primes must find the rest themselves
+    monkeypatch.setattr(modular, "PRIMES", modular.PRIMES[:1])
+    tt, x = MultiPoly.var(TX, "t"), MultiPoly.var(TX, "x")
+    big = 2**80 + 3
+    core = (tt * x + big) ** 2 * (x + tt + 1)
+    assert squarefree_part(core, 0) == (tt * x + big) * (x + tt + 1)
+    f = (x + 2**70 + 1) * (x - big) * (tt**2 + x * tt + 1)
+    assert content_wrt(f, 0) == content_wrt_ref(f, 0, poly_gcd_prs) == (x + 2**70 + 1) * (x - big)
+
+
+def test_poly_gcd_takes_at_most_two_variables():
+    t2, a, b = (MultiPoly.var(TD12, n) for n in TD12.names)
+    with pytest.raises(DomainError):
+        poly_gcd(t2 * a + b, t2 * a)
+    assert poly_gcd(t2 * a, b + 1) == MultiPoly.one(TD12)  # no common variable
 
 
 def test_squarefree_part_pinned():

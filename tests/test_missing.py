@@ -220,6 +220,21 @@ def test_candidate_polys_squarefree_part_finishes():
     assert proc.stdout == "['4*x^2', '16*y^4 - 96*y^3 + 248*y^2 - 312*y + 169'] 8\n"
 
 
+def test_candidate_polys_of_a_height_three_tower_finishes():
+    # check_towers seed-0 check_005.rs (bench/gen.py): the PRS squarefree
+    # part of its curve polynomials ran past 20 s, the modular gcd takes
+    # well under a second; run in a child process so a regression fails
+    # on the timeout
+    source = (
+        "tower { d1^2 = -t^4; d2^3 = -4*t + 3*d1; d3^3 = 4*t^4 + 2*t*d1; }\n"
+        "param { x = 2*t^4*d2 + 2*t^3*d1 - 3*t^2*d3;\n"
+        "        y = (-4*t^3*d1*d2) / (-4*t^4 + 4*t^3); }\n"
+    )
+    proc = run_child(["-c", CANDIDATES_IN_CHILD], input=source, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['262144', '9'] 0\n"
+
+
 def test_rational_sieve_bound():
     # |c_0 * c_d| at the bound is sieved; past it the roots stay numeric
     # and the skip joins any other note of the coordinate
