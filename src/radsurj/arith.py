@@ -21,8 +21,8 @@ to Fractions only at the end, keeping the key order of the loop on
 exponent tuples.  tower.tower_norm runs its whole determinant expansion
 on the same packed form.
 
-Gcds run in the modular module, on integer multiples of the inputs,
-and poly_gcd keeps a candidate only once division here proves it.
+Gcds run in the modular module on integer multiples of the inputs,
+which proves each by exact division on its integer dense form.
 
 Remainders run on a second packing, one int per monomial that compares
 as a TermOrder does and shifts and tests divisibility by integer
@@ -773,28 +773,24 @@ def content_wrt(f: MultiPoly, var: int) -> MultiPoly:
 
 
 def _gcd_quotient(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """(h, f / h) for a gcd h of nonzero f and g, up to a scalar.
-
-    The candidates come from modular.gcd_lifts on integer multiples of
-    f and g, one per prime.  A candidate is accepted once division
-    shows that it divides f and g, which a constant always does;
-    otherwise the next one is tried, so bad luck costs time and never
-    the answer.  More than two variables between f and g raise
-    DomainError.
+    """(h, f / h) for a gcd h of nonzero f and g, each up to a scalar,
+    from modular.gcd on integer multiples of f and g; it proves its
+    answer by exact division, so bad luck costs time and never the
+    answer.  More than two variables between f and g raise DomainError,
+    and a degree past CAP, too large for the dense form, ResourceError.
     """
     if not f.variables() & g.variables():
         return MultiPoly.one(f.table), f
     if len(f.variables() | g.variables()) > 2:
         raise DomainError("gcds take polynomials in at most two variables")
+    d, v = max((h.degree(v), v) for h in (f, g) for v in h.variables())
+    if d > CAP:
+        raise ResourceError(f"degree {d} in {f.table.names[v]} too large for a dense list")
     ints = ({e: c.numerator for e, c in _unit_normalize(h).coeffs.items()} for h in (f, g))
-    for lift in modular.gcd_lifts(*ints):
-        h = MultiPoly._raw(f.table, {e: Fraction(lift[e]) for e in sorted(lift, key=_grlex_key, reverse=True)})
-        if h.is_const():
-            return h, f * (1 / h.const_value())
-        quot, rem = poly_divmod(f, h)
-        if not (rem or poly_divmod(g, h)[1]):
-            return h, quot
-    raise AssertionError("modular.gcd_lifts stopped lifting")
+    return tuple(
+        MultiPoly._raw(f.table, {e: Fraction(c[e]) for e in sorted(c, key=_grlex_key, reverse=True)})
+        for c in modular.gcd(*ints)
+    )
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:

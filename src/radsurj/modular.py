@@ -9,8 +9,9 @@ dependency among monomial columns evaluated at points modulo a prime
 evaluation, interpolation and Chinese remaindering (Brown, "On Euclid's
 algorithm and the computation of polynomial greatest common divisors",
 J. ACM 18, 1971).  This module imports nothing from the rest of the
-package, so any module can build on it; the callers prove each answer
-exactly, so a bad prime or an unlucky draw can only cost time.
+package, so any module can build on it.  Every answer is proven
+exactly, the gcd's by division here and the others by their callers,
+so a bad prime or an unlucky draw can only cost time.
 """
 
 from __future__ import annotations
@@ -242,27 +243,53 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _quo(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b in Z[y] for nonzero a and b, or None when b does not
-    divide a; for a primitive b, b divides a over Q only if every
-    quotient coefficient is an integer (Gauss's lemma)."""
+def _submul(a: list[int], c: list[int], b: list[int]) -> list[int]:
+    """a - c * b in Z[y], trimmed."""
+    out = a + [0] * (len(c) + len(b) - 1 - len(a))
+    for i, x in enumerate(c):
+        for j, y in enumerate(b):
+            out[i + j] -= x * y
+    return _trim(out)
+
+
+def _quo(a: list, b: list) -> list | None:
+    """a / b for nonzero a and b, both in Z[y] or both dense in Z[y][x],
+    or None when b does not divide a.
+
+    Long division by the leading coefficient of b, itself exact in Z or
+    in Z[y], stopping at the first quotient coefficient that is not.
+    For b of content 1 over Z, b divides a over Q only if it does over Z
+    (Gauss's lemma), so None means that b does not divide a at all.
+    """
     r, db = a[:], len(b) - 1
     if len(r) <= db:
         return None
-    q = [0] * (len(r) - db)
+    nested = isinstance(b[-1], list)
+    q: list = [[] if nested else 0] * (len(r) - db)
     for i in reversed(range(len(q))):
-        c, m = divmod(r[i + db], b[-1])
-        if m:
-            return None
+        top = r[i + db]
+        if not top:
+            continue
+        if nested:
+            c = _quo(top, b[-1])
+            if c is None:
+                return None
+            for j, x in enumerate(b):
+                r[i + j] = _submul(r[i + j], c, x)
+        else:
+            c, m = divmod(top, b[-1])
+            if m:
+                return None
+            for j, x in enumerate(b):
+                r[i + j] -= c * x
         q[i] = c
-        for j, x in enumerate(b):
-            r[i + j] -= c * x
     return None if any(r) else q
 
 
 def _interpolate(points: list[int], rows: list[list[int]], p: int) -> Dense:
     """Per column i of rows, the polynomial in y of degree below
-    len(points) that takes rows[k][i] at points[k], modulo p."""
+    len(points) that takes rows[k][i] at points[k], modulo p, as a list
+    of len(points) coefficients, zeros at the top kept."""
     n = len(points)
     master = [1]  # prod (y - b)
     for b in points:
@@ -280,16 +307,25 @@ def _interpolate(points: list[int], rows: list[list[int]], p: int) -> Dense:
         for row, lag in zip(rows, basis):
             if row[i]:
                 col = [(c + row[i] * x) % p for c, x in zip(col, lag)]
-        out.append(_trim(col))
+        out.append(col)
     return out
 
 
-def _verified(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """(h, [a / h for a in polys]) for the gcd h in Z[y] of nonzero
-    polys, content 1; each lift of _brown is kept only once it divides
-    every poly exactly."""
-    for lift in _brown([[[c] if c else [] for c in a] for a in polys]):
-        h = [r[0] if r else 0 for r in lift]
+def _verified(polys: list[list]) -> tuple[list, list[list]]:
+    """(h, [a / h for a in polys]) for nonzero polys, all in Z[y] or all
+    dense in Z[y][x], and h the gcd of their primitive parts: in x, or
+    over Z for polys in Z[y].
+
+    Each lift of _brown is kept only once it divides every poly exactly
+    (_quo).  It has content 1 over Z and in x, and its degree in x is an
+    image degree, at least the gcd's; a common divisor of that degree
+    whose content in x is 1 is the gcd up to sign.
+    """
+    flat = not isinstance(polys[0][-1], list)
+    for lift in _brown([[[c] if c else [] for c in a] for a in polys] if flat else polys):
+        h = [r[0] if r else 0 for r in lift] if flat else lift
+        if lift == [[1]]:
+            return h, polys
         quots = [_quo(a, h) for a in polys]
         if None not in quots:
             return h, quots
@@ -305,8 +341,8 @@ def _primitive(f: Dense) -> tuple[list[int], Dense]:
 
 def _brown(polys: list[Dense]) -> Iterator[Dense]:
     """Lifts of the gcd of the primitive parts in x of polys, each with
-    content 1 over Z, one per prime that completes one; the true gcd
-    comes once enough primes are combined.
+    content 1 over Z and in x, one per prime that completes one; the
+    true gcd comes once enough primes are combined.
 
     gamma, the gcd of the leading coefficients in x, is a multiple of
     the gcd's.  At a point b with gamma(b) != 0 mod p the gcd keeps its
@@ -315,7 +351,8 @@ def _brown(polys: list[Dense]) -> Iterator[Dense]:
     the lowest seen is unlucky and dropped, with its prime when every
     point there is.  The images are scaled to leading coefficient
     gamma(b) and interpolated on deg gamma + min deg_y + 1 points, then
-    combined with earlier primes by Chinese remaindering.  A lift is
+    combined with earlier primes by Chinese remaindering, every
+    coefficient kept, zero or not, until the symmetric lift.  A lift is
     given out once the newest prime leaves it unchanged or no
     coefficient exceeds sqrt(m / 2), m the product of the primes.
     """
@@ -372,20 +409,19 @@ def _brown(polys: list[Dense]) -> Iterator[Dense]:
         last = lift
 
 
-def gcd_lifts(
+def gcd(
     f: Mapping[tuple[int, ...], int], g: Mapping[tuple[int, ...], int]
-) -> Iterator[dict[tuple[int, ...], int]]:
-    """Candidates for gcd(f, g) over Z, up to sign, one per prime that
-    completes a lift, for nonzero integer maps {exponents: c} in which
-    one or two variables occur, one of them in both; the main variable x
-    is the last common one.
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """(h, f / h) for h a gcd of f and g over Q with integer
+    coefficients, each as a map {exponents: c}, for nonzero integer maps
+    in which one or two variables occur, one of them in both; the main
+    variable x is the last common one.  An integer factor common to f
+    and g may stay out of h.
 
-    The contents in x, polynomials in the other variable y, and their
-    gcd c come first, from the same routine with y as main variable,
-    each proven by exact division.  Each candidate is c times a lift of
-    _brown for the primitive parts.  One that divides f and g is the
-    gcd: its degree in x is an image degree, at least the gcd's, and no
-    common divisor has more; its factor c is the gcd of the contents.
+    The contents in x, polynomials in the other variable y, and the
+    primitive parts come first; h is the gcd of the contents times the
+    gcd of the primitive parts, each from _verified, which proves its
+    answer by exact division, so the quotients come with it.
     """
     n = len(next(iter(f)))
     both = [{i for e in h for i, k in enumerate(e) if k} for h in (f, g)]
@@ -400,16 +436,19 @@ def gcd_lifts(
             row[j] = c
         return out
 
-    (cf, pf), (cg, pg) = _primitive(dense(f)), _primitive(dense(g))
-    content = _verified([cf, cg])[0]
-    for lift in _brown([pf, pg]):
+    def sparse(content: list[int], a: Dense) -> dict[tuple[int, ...], int]:
         out = {}
-        for i, a in enumerate(lift):
-            for j, c in enumerate(_mul(content, a)):
+        for i, row in enumerate(a):
+            for j, c in enumerate(_mul(content, row)):
                 if c:
                     e = [0] * n
                     e[main] = i
                     if other is not None:
                         e[other] = j
                     out[tuple(e)] = c
-        yield out
+        return out
+
+    (cf, pf), (cg, pg) = _primitive(dense(f)), _primitive(dense(g))
+    c, (qcf, _) = _verified([cf, cg])
+    h, (qf, _) = _verified([pf, pg])
+    return sparse(c, h), sparse(qcf, qf)

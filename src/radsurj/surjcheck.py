@@ -78,8 +78,8 @@ def _locus_h(tower: RadicalTower, p: MultiPoly, q: MultiPoly, rp: MultiPoly | No
         return MultiPoly.zero(q.table)
     if r:
         rp = poly_divmod(rp, r, budget)[1]
-    # gcd(r, s) = gcd(s, r mod s); the PRS of the right side
-    # starts below deg s, however high r's degree
+    # gcd(r, s) = gcd(s, r mod s), whose inputs have degree at most
+    # deg s, however high r's degree
     return poly_gcd(rp, _rem_by_powers(r, rp)) if r and rp else poly_gcd(r, rp)
 
 

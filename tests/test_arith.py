@@ -48,6 +48,7 @@ from support import (
     random_poly,
     resultant,
     resultant_det,
+    run_child,
     sym,
     to_sympy,
 )
@@ -575,14 +576,14 @@ def test_poly_gcd_matches_unnormalized_prs_reference():
 def test_poly_gcd_survives_forced_bad_luck(monkeypatch):
     tt, x = MultiPoly.var(TX, "t"), MultiPoly.var(TX, "x")
     lifts = []
-    gcd_lifts, points, primes = modular.gcd_lifts, modular._points, modular.PRIMES
+    brown, points, primes = modular._brown, modular._points, modular.PRIMES
 
-    def spy(f, g):
-        for lift in gcd_lifts(f, g):
+    def spy(polys):
+        for lift in brown(polys):
             lifts.append(lift)
             yield lift
 
-    monkeypatch.setattr(modular, "gcd_lifts", spy)
+    monkeypatch.setattr(modular, "_brown", spy)
 
     def check(f, g, want):
         lifts.clear()
@@ -603,7 +604,30 @@ def test_poly_gcd_survives_forced_bad_luck(monkeypatch):
     # trial division; the next prime comes from the search below 2^62
     monkeypatch.setattr(modular, "PRIMES", (97,))
     check((tt + 100) * (tt + 1), (tt + 100) * (tt - 1), tt + 100)
-    assert [lift[(0, 0)] for lift in lifts] == [3, 100]
+    assert [lift[0] for lift in lifts if len(lift) > 1] == [[3], [100]]
+
+
+GCDS_IN_CHILD = """
+from radsurj import modular
+from radsurj.arith import MultiPoly, Role, VarTable, poly_gcd, squarefree_part
+table = VarTable(("t", "x"), (Role.PARAMETER, Role.COORDINATE))
+t, x = (MultiPoly.var(table, n) for n in table.names)
+P = modular.PRIMES[0]
+print(poly_gcd((t + P) * (t + 1), (t + P) * (t + 2)) == t + P)
+print(squarefree_part((t + P) ** 2 * (t - 1), 0) == (t + P) * (t - 1))
+h = x + P * t + 1
+print(poly_gcd(h * (x + t), h * (x - t + 2)) == h)
+"""
+
+
+def test_gcd_lifts_a_coefficient_that_vanishes_modulo_the_first_prime():
+    # each gcd has a coefficient that is 0 modulo the first prime; when
+    # the Chinese remaindering dropped such coefficients, every later
+    # prime gave the same wrong lift and the gcd never returned, so run
+    # in a child process and fail on the timeout
+    proc = run_child(["-c", GCDS_IN_CHILD], timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\nTrue\nTrue\n"
 
 
 def test_gcd_finds_primes_past_a_shrunk_prime_tuple(monkeypatch):
@@ -616,6 +640,18 @@ def test_gcd_finds_primes_past_a_shrunk_prime_tuple(monkeypatch):
     assert squarefree_part(core, 0) == (tt * x + big) * (x + tt + 1)
     f = (x + 2**70 + 1) * (x - big) * (tt**2 + x * tt + 1)
     assert content_wrt(f, 0) == content_wrt_ref(f, 0, poly_gcd_prs) == (x + 2**70 + 1) * (x - big)
+
+
+def test_poly_gcd_refuses_a_degree_past_the_dense_cap(monkeypatch):
+    # the gcd works on dense coefficient lists; a degree past CAP must
+    # raise before anything is allocated
+    monkeypatch.setattr(arith, "CAP", 8)
+    tt = MultiPoly.var(TX, "t")
+    assert poly_gcd(tt**8 - 1, tt - 1) == tt - 1
+    with pytest.raises(ResourceError):
+        poly_gcd(tt**9 - 1, tt - 1)
+    with pytest.raises(ResourceError):
+        squarefree_part(tt**9 - 1, 0)
 
 
 def test_poly_gcd_takes_at_most_two_variables():
