@@ -22,11 +22,12 @@ exponent tuples.  tower.tower_norm runs its whole determinant expansion
 on the same packed form.
 
 Gcds run in the modular module on integer multiples of the inputs,
-which proves each by exact division on its integer dense form.
+which proves each by exact division on its integer dense form.  Exact
+quotients come only from there.
 
 Remainders run on a second packing, one int per monomial that compares
 as a TermOrder does and shifts and tests divisibility by integer
-operations.  reduce_full is the one reduction loop on it: poly_divmod,
+operations.  reduce_full is the one reduction loop on it: poly_rem,
 tower.normal_form and ideal.buchberger all run it.
 """
 
@@ -662,15 +663,11 @@ def _sub_shifted(acc: Terms, g: Terms, lead: int, shift: int, q: Fraction, guard
             del acc[k]
 
 
-def reduce_full(
-    f: Terms, basis: Sequence[Terms], leads: Sequence[Lead], order: TermOrder, budget: Budget, quot: Terms | None = None
-) -> Terms:
+def reduce_full(f: Terms, basis: Sequence[Terms], leads: Sequence[Lead], order: TermOrder, budget: Budget) -> Terms:
     """Fully reduce f: no remaining monomial divisible by a basis lead.
 
     The tail's leading term is reduced by the first basis element whose
     lead divides it, one budget step each, or else moved to the result.
-    With one divisor, quot collects each step's multiplier q at the key
-    shift key(s) - key(0) of its monomial x^s.
     """
     emask, eguard, guards = order.masks
     tail = dict(f)
@@ -682,10 +679,7 @@ def reduce_full(
         for g, (_, lk, lc, mask) in zip(basis, leads):
             if (mask - m) & eguard == eguard:
                 budget.spend()
-                q = c / lc
-                if quot is not None:
-                    quot[k - lk] = q
-                _sub_shifted(tail, g, lk, k - lk, q, guards)
+                _sub_shifted(tail, g, lk, k - lk, c / lc, guards)
                 break
         else:
             done[k] = c
@@ -703,43 +697,24 @@ def spoly(f: Terms, f_lead: Lead, g: Terms, g_lead: Lead, order: TermOrder) -> T
 
 
 # ----------------------------------------------------------------------
-# exact division
+# remainder
 
 
-def poly_divmod(
-    f: MultiPoly, g: MultiPoly, budget: Budget | None = None
-) -> tuple[MultiPoly, MultiPoly]:
-    """Quotient and remainder of f by g under grevlex.
+def poly_rem(f: MultiPoly, g: MultiPoly, budget: Budget | None = None) -> MultiPoly:
+    """Remainder of f by g under grevlex.
 
-    f = quot * g + rem, and g's grevlex leading monomial divides no
-    term of rem; in one variable this is the usual division over Q, and
-    an exact quotient is the same under every order.  Each step adds
-    one term to the quotient and spends one step of budget (None: no
-    limit), which raises ResourceError once it runs out.
+    g's grevlex leading monomial divides no term of the result, and f
+    minus it is a multiple of g; in one variable this is the usual
+    remainder over Q.  Each division step spends one step of budget
+    (None: no limit), which raises ResourceError once it runs out.
     """
     f._check(g)
     if g.is_zero():
         raise DomainError("division by the zero polynomial")
     order = TermOrder.grevlex(f.table)
     gk = order.pack(g)
-    quot: Terms = {}
     budget = Budget(math.inf) if budget is None else budget
-    rem = reduce_full(order.pack(f), [gk], [order.lead(gk)], order, budget, quot)
-    zero = order.key((0,) * f.table.arity)
-    return order.poly({s + zero: q for s, q in quot.items()}), order.poly(rem)
-
-
-def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Quotient f/g when the division is exact; DomainError otherwise."""
-    f._check(g)
-    if g.is_zero():
-        raise DomainError("division by the zero polynomial")
-    if g.is_const():
-        return f * (1 / g.const_value())
-    quot, rem = poly_divmod(f, g)
-    if rem:
-        raise DomainError("division is not exact")
-    return quot
+    return order.poly(reduce_full(order.pack(f), [gk], [order.lead(gk)], order, budget))
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from random import Random
 from typing import Iterator, Sequence
 
 from . import modular
-from .arith import Budget, MultiPoly, Role, TermOrder, VarTable, content_wrt, exact_div, squarefree_part
+from .arith import Budget, MultiPoly, Role, TermOrder, VarTable, content_wrt, squarefree_part
 from .errors import ResourceError
 from .ideal import DEFAULT_STEP_BUDGET, elimination_ideal
 from .sampler import complex_roots, scaled_residuals
@@ -158,8 +158,7 @@ def candidate_polys(param: RadicalParametrization) -> tuple[CoordinateCandidates
         # branch; its roots are candidate coordinates too, so it must
         # not be lost to the t-squarefree cleanup
         cont = content_wrt(g, t_idx)
-        core = g if cont.is_const() else exact_div(g, cont)
-        cleaned = squarefree_part(core, t_idx)
+        cleaned = squarefree_part(g, t_idx)
         lead = cleaned.coeff_poly(t_idx, cleaned.degree(t_idx)) * squarefree_part(cont, x_idx)
         # sign does not move roots; keep the reported polynomial stable
         if lead.coeff_poly(x_idx, lead.degree(x_idx)).const_value() < 0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import CAP, Budget, MultiPoly, poly_divmod, poly_gcd, weighted_degree
+from .arith import CAP, Budget, MultiPoly, poly_gcd, poly_rem, weighted_degree
 from .errors import InputError, ResourceError
 from .ideal import DEFAULT_STEP_BUDGET, common_zeros
 from .tower import (
@@ -77,7 +77,7 @@ def _locus_h(tower: RadicalTower, p: MultiPoly, q: MultiPoly, rp: MultiPoly | No
     if max(r.degree(0), rp.degree(0)) > CAP:
         return MultiPoly.zero(q.table)
     if r:
-        rp = poly_divmod(rp, r, budget)[1]
+        rp = poly_rem(rp, r, budget)
     # gcd(r, s) = gcd(s, r mod s), whose inputs have degree at most
     # deg s, however high r's degree
     return poly_gcd(rp, _rem_by_powers(r, rp)) if r and rp else poly_gcd(r, rp)
@@ -90,16 +90,16 @@ def _rem_by_powers(r: MultiPoly, s: MultiPoly) -> MultiPoly:
     sparse r of degree n costs O(log n) divisions per term, where
     dividing r by s directly would take n steps.
     """
-    one = poly_divmod(MultiPoly.one(r.table), s)[1]  # 0 for a constant s
-    squares = [poly_divmod(MultiPoly.var(r.table, r.table.names[0]), s)[1]]
+    one = poly_rem(MultiPoly.one(r.table), s)  # 0 for a constant s
+    squares = [poly_rem(MultiPoly.var(r.table, r.table.names[0]), s)]
     while 1 << len(squares) <= r.degree(0):
-        squares.append(poly_divmod(squares[-1] * squares[-1], s)[1])
+        squares.append(poly_rem(squares[-1] * squares[-1], s))
     out = MultiPoly.zero(r.table)
     for expo, c in r.coeffs.items():
         power = one
         for i, square in enumerate(squares):
             if expo[0] >> i & 1:
-                power = poly_divmod(power * square, s)[1]
+                power = poly_rem(power * square, s)
         out = out + power * c
     return out
 

@@ -40,7 +40,6 @@ from radsurj.arith import (
     TermOrder,
     VarTable,
     _unit_normalize,
-    exact_div,
     poly_gcd,
 )
 from radsurj.errors import DomainError, InputError, RadsurjError, ResourceError, StructuralError
@@ -364,11 +363,12 @@ def tower_norm_ref(f: MultiPoly, level) -> MultiPoly:
 
 
 def exact_div_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """arith.exact_div with a new remainder polynomial per step.
+    """Quotient f/g when the division is exact; DomainError otherwise.
 
-    The loop the package ran before it subtracted in one mutable term
-    map; same steps, the tail's lead chosen by the grevlex key, so
-    quotients agree down to their term order.
+    Grevlex long division with a new remainder polynomial per step.  The
+    package keeps no Fraction exact division (its quotients come from
+    modular.gcd); the PRS, resultant and content oracles divide with
+    this one.
     """
     f._check(g)
     if g.is_zero():
@@ -408,8 +408,9 @@ def _sub_monomial_multiple(acc: dict, g: MultiPoly, lead, expo, q: Fraction) -> 
 
 
 def poly_divmod_ref(f: MultiPoly, g: MultiPoly, step_budget=None):
-    """arith.poly_divmod as it was before it ran on packed keys: exponent
-    tuples, the tail's lead chosen by graded lex, one step per
+    """Quotient and remainder of f by g as arith's division ran before
+    it moved to packed keys and kept only the remainder (poly_rem):
+    exponent tuples, the tail's lead chosen by graded lex, one step per
     quotient term."""
     f._check(g)
     if g.is_zero():
@@ -605,7 +606,7 @@ def primitive_wrt(f: MultiPoly, var: int) -> MultiPoly:
     """f divided by its content in var, then unit-normalized; 0 stays 0."""
     if f.is_zero():
         return f
-    return _unit_normalize(exact_div(f, content_wrt_ref(f, var, poly_gcd_prs)))
+    return _unit_normalize(exact_div_ref(f, content_wrt_ref(f, var, poly_gcd_prs)))
 
 
 def poly_gcd_prs(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -628,8 +629,8 @@ def poly_gcd_prs(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     cf = content_wrt_ref(f, x, poly_gcd_prs)
     cg = content_wrt_ref(g, x, poly_gcd_prs)
     c = poly_gcd_prs(cf, cg)
-    a = exact_div(f, cf)
-    b = exact_div(g, cg)
+    a = exact_div_ref(f, cf)
+    b = exact_div_ref(g, cg)
     if a.degree(x) < b.degree(x):
         a, b = b, a
     while not b.is_zero():
@@ -654,7 +655,7 @@ def primitive_wrt_ref(f: MultiPoly, var: int) -> MultiPoly:
     univariate f the content is 1 and nothing is removed."""
     if f.is_zero():
         return f
-    return exact_div(f, content_wrt_ref(f, var, poly_gcd_ref))
+    return exact_div_ref(f, content_wrt_ref(f, var, poly_gcd_ref))
 
 
 def poly_gcd_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -678,8 +679,8 @@ def poly_gcd_ref(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     cf = content_wrt_ref(f, x, poly_gcd_ref)
     cg = content_wrt_ref(g, x, poly_gcd_ref)
     c = poly_gcd_ref(cf, cg)
-    a = exact_div(f, cf)
-    b = exact_div(g, cg)
+    a = exact_div_ref(f, cf)
+    b = exact_div_ref(g, cg)
     if a.degree(x) < b.degree(x):
         a, b = b, a
     while not b.is_zero():
@@ -724,7 +725,7 @@ def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
         r = prem(a, b, var)
         a = b
         denom = g * h ** delta
-        b = exact_div(r, denom) if not r.is_zero() else r
+        b = exact_div_ref(r, denom) if not r.is_zero() else r
         if b.is_zero():
             return MultiPoly.zero(table)
         g = a.coeff_poly(var, int(a.degree(var)))
@@ -733,14 +734,14 @@ def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
         elif delta == 1:
             h = g
         else:
-            h = exact_div(g ** delta, h ** (delta - 1))
+            h = exact_div_ref(g ** delta, h ** (delta - 1))
         if b.degree(var) == 0:
             break
     dda = int(a.degree(var))
     if dda == 1:
         res = b
     else:
-        res = exact_div(b ** dda, h ** (dda - 1))
+        res = exact_div_ref(b ** dda, h ** (dda - 1))
     return res if sign > 0 else -res
 
 
@@ -791,7 +792,7 @@ def resultant_det(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                mat[i][j] = exact_div(mat[k][k] * mat[i][j] - mat[i][k] * mat[k][j], prev)
+                mat[i][j] = exact_div_ref(mat[k][k] * mat[i][j] - mat[i][k] * mat[k][j], prev)
             mat[i][k] = zero
         prev = mat[k][k]
     det = mat[n - 1][n - 1]

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 from radsurj import cli, missing, modular
-from radsurj.arith import CAP, Budget, MultiPoly, Role, VarTable, content_wrt
+from radsurj.arith import CAP, Budget, MultiPoly, Role, VarTable, content_wrt, squarefree_part
 from radsurj.errors import ResourceError
 from radsurj.ideal import DEFAULT_STEP_BUDGET
 from radsurj.missing import (
@@ -33,6 +33,7 @@ from support import (
     TD1,
     TD12,
     T_ONLY,
+    exact_div_ref,
     hypothesis2_ref,
     random_nonzero_poly,
     random_reduced_poly,
@@ -168,6 +169,37 @@ def test_candidate_polys_keeps_content_roots():
     assert cx.note == "curve polynomial is constant in t"
     assert cy.rational_roots == (Fraction(0),)
     assert hyp1_bound(polys) == 1
+
+
+def test_squarefree_part_drops_the_t_content_itself():
+    # candidate_polys takes the squarefree part of G, not of G over its
+    # t-content: the content is free of t, so it divides G_t too and
+    # both quotients are the same polynomial, key order included
+    tx = VarTable(("t", "x"), (Role.PARAMETER, Role.COORDINATE))
+    tv, xv = MultiPoly.var(tx, "t"), MultiPoly.var(tx, "x")
+    curves = [("hand", 1, (xv - 1) ** 2 * (tv**2 - xv))]
+    corpus = dict(_missing_elim_corpus(0))
+    for name, text in corpus.items():
+        param = parse(text)
+        curves += [(name[:-3], i, component_curve_poly(param, i)) for i in range(1, param.n + 1)]
+    with_content = []
+    for name, i, g in curves:
+        cont = content_wrt(g, 0)
+        if cont.is_const():
+            continue
+        with_content.append(name)
+        got, want = squarefree_part(g, 0), squarefree_part(exact_div_ref(g, cont), 0)
+        assert got == want and list(got.coeffs) == list(want.coeffs), (name, i)
+    assert squarefree_part(curves[0][2], 0) == tv**2 - xv
+    assert with_content == [
+        "hand", "missing_000", "missing_008", "missing_017", "missing_019",
+        "missing_022", "missing_022", "missing_032", "missing_036", "axis",
+    ]
+    # missing_022 is the point (-1/3, -2/3): its candidates come from
+    # the contents alone
+    coords = candidate_polys(parse(corpus["missing_022.rs"]))
+    assert [str(c.lead_coeff) for c in coords] == ["3*x + 1", "3*y + 2"]
+    assert [c.rational_roots for c in coords] == [(Fraction(-1, 3),), (Fraction(-2, 3),)]
 
 
 def test_candidate_roots_come_from_the_squarefree_lead():

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from radsurj import surjcheck
-from radsurj.arith import NEG_INF, Budget, MultiPoly, Role, TermOrder, VarTable, poly_divmod, poly_gcd
+from radsurj.arith import NEG_INF, Budget, MultiPoly, Role, TermOrder, VarTable, poly_gcd, poly_rem
 from radsurj.errors import InputError
 from radsurj.ideal import DEFAULT_STEP_BUDGET, common_zeros
 from radsurj.parser import parse
@@ -211,13 +211,13 @@ def test_exhausted_budget_builds_h_once_and_gives_unknown(monkeypatch):
     # the division runs out at budget 0 and the basis after h's one
     # division step at budget 1; neither builds h a second time
     divisions = []
-    real = surjcheck.poly_divmod
+    real = surjcheck.poly_rem
 
     def counted(*args):
         divisions.append(args)
         return real(*args)
 
-    monkeypatch.setattr(surjcheck, "poly_divmod", counted)
+    monkeypatch.setattr(surjcheck, "poly_rem", counted)
     for budget in (0, 1):
         divisions.clear()
         assert condition2_locus(common_zero_param(), 1, budget) == Condition2Locus("unknown", None)
@@ -291,11 +291,11 @@ def test_h_from_powers_of_t_equals_gcd_of_r_and_s():
         common = random_nonzero_poly(rng, T_ONLY, max_terms=3)
         cofactor = random_nonzero_poly(rng, T_ONLY, max_exp=4) + x ** rng.choice((1, 7, 40, 300))
         r = common * cofactor * Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        s = poly_divmod(common * random_nonzero_poly(rng, T_ONLY, max_exp=5), r)[1]
+        s = poly_rem(common * random_nonzero_poly(rng, T_ONLY, max_exp=5), r)
         if s.is_zero() or r.is_const():
             continue
         rem = _rem_by_powers(r, s)
-        assert rem == poly_divmod(r, s)[1]
+        assert rem == poly_rem(r, s)
         h = poly_gcd(s, rem)
         assert h == poly_gcd(r, s)
         nontrivial += not h.is_const()
