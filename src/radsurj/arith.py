@@ -21,9 +21,10 @@ to Fractions only at the end, keeping the key order of the loop on
 exponent tuples.  tower.tower_norm runs its whole determinant expansion
 on the same packed form.
 
-Gcds run in the modular module on integer multiples of the inputs,
-which proves each by exact division on its integer dense form.  Exact
-quotients come only from there.
+Gcds of any number of polynomials run in the modular module on integer
+multiples of the inputs, which proves each by exact division on its
+integer dense form; a content is one gcd over all the coefficients.
+Exact quotients come only from there.
 
 Remainders run on a second packing, one int per monomial that compares
 as a TermOrder does and shifts and tests divisibility by integer
@@ -341,7 +342,9 @@ class MultiPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.table, frozenset(self.coeffs.items())))
+            # a constant equals its value, so it hashes like it
+            key = self.const_value() if self.is_const() else (self.table, frozenset(self.coeffs.items()))
+            self._hash = hash(key)
         return self._hash
 
     def __bool__(self) -> bool:
@@ -737,52 +740,47 @@ def _unit_normalize(f: MultiPoly) -> MultiPoly:
 
 def content_wrt(f: MultiPoly, var: int) -> MultiPoly:
     """Gcd of the coefficient polynomials of f seen in var."""
-    acc = MultiPoly.zero(f.table)
-    for c in f.univariate_coeffs(var):
-        if c.is_zero():
-            continue
-        acc = poly_gcd(acc, c)
-        if acc.is_const():
-            break
-    return acc
+    return poly_gcd(MultiPoly.zero(f.table), *f.univariate_coeffs(var))
 
 
-def _gcd_quotient(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """(h, f / h) for a gcd h of nonzero f and g, each up to a scalar,
-    from modular.gcd on integer multiples of f and g; it proves its
-    answer by exact division, so bad luck costs time and never the
-    answer.  More than two variables between f and g raise DomainError,
+def _gcd_quotient(*polys: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """(h, polys[0] / h) for a gcd h of nonzero polys, each up to a
+    scalar, from modular.gcd on integer multiples of polys; it proves
+    its answer by exact division, so bad luck costs time and never the
+    answer.  More than two variables between polys raise DomainError,
     and a degree past CAP, too large for the dense form, ResourceError.
     """
-    if not f.variables() & g.variables():
-        return MultiPoly.one(f.table), f
-    if len(f.variables() | g.variables()) > 2:
+    supports = [h.variables() for h in polys]
+    if not set.intersection(*supports):
+        return MultiPoly.one(polys[0].table), polys[0]
+    if len(set.union(*supports)) > 2:
         raise DomainError("gcds take polynomials in at most two variables")
-    d, v = max((h.degree(v), v) for h in (f, g) for v in h.variables())
+    d, v = max((h.degree(v), v) for h in polys for v in h.variables())
     if d > CAP:
-        raise ResourceError(f"degree {d} in {f.table.names[v]} too large for a dense list")
-    ints = ({e: c.numerator for e, c in _unit_normalize(h).coeffs.items()} for h in (f, g))
+        raise ResourceError(f"degree {d} in {polys[0].table.names[v]} too large for a dense list")
+    ints = ({e: c.numerator for e, c in _unit_normalize(h).coeffs.items()} for h in polys)
     return tuple(
-        MultiPoly._raw(f.table, {e: Fraction(c[e]) for e in sorted(c, key=_grlex_key, reverse=True)})
+        MultiPoly._raw(polys[0].table, {e: Fraction(c[e]) for e in sorted(c, key=_grlex_key, reverse=True)})
         for c in modular.gcd(*ints)
     )
 
 
-def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Gcd over the rationals of polynomials in at most two variables
-    between them, by Brown's modular algorithm (_gcd_quotient).
+def poly_gcd(f: MultiPoly, *others: MultiPoly) -> MultiPoly:
+    """Gcd over the rationals of any number of polynomials in at most
+    two variables between them, by Brown's modular algorithm
+    (_gcd_quotient) on the nonzero ones.
 
     The result is unit-normalized: integer coefficients, content 1,
-    positive leading graded lex coefficient; for nonzero f and g its
-    terms come in descending graded lex order.  gcd(0, 0) = 0 and the
-    gcd of anything with a nonzero constant is 1.
+    positive leading graded lex coefficient; for two or more nonzero
+    inputs its terms come in descending graded lex order.  The gcd of
+    zeros is 0 and the gcd of anything with a nonzero constant is 1.
     """
-    f._check(g)
-    if f.is_zero():
-        return _unit_normalize(g)
-    if g.is_zero():
-        return _unit_normalize(f)
-    return _unit_normalize(_gcd_quotient(f, g)[0])
+    for g in others:
+        f._check(g)
+    nonzero = [h for h in (f, *others) if h]
+    if len(nonzero) < 2:
+        return _unit_normalize(nonzero[0] if nonzero else f)
+    return _unit_normalize(_gcd_quotient(*nonzero)[0])
 
 
 def squarefree_part(f: MultiPoly, var: int) -> MultiPoly:

@@ -10,10 +10,12 @@ or any other package error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 from .arith import weighted_degree
@@ -162,6 +164,9 @@ def _run(args: argparse.Namespace) -> int:
         for note in cand.notes:
             print(f"note: {note}", file=sys.stderr)
         cloud = sample_images(param, samples, tol=args.tol, implicit=cand.implicit)
+        # a complex product past the float range is inf or nan, not an error
+        if not all(map(cmath.isfinite, chain.from_iterable(cloud.columns[1 + param.tower.m :]))):
+            raise OverflowError("image coordinate too large for a float")
         verdicts = confirm_candidates(cloud, cand.candidates, param)
         if args.csv:
             write_csv(cloud, param, args.csv)
@@ -192,6 +197,12 @@ _argparser = functools.cache(build_argparser)
 
 def main(argv: list[str] | None = None) -> int:
     args = _argparser().parse_args(argv)
+    # exact answers may have more digits than Python converts by default
+    # (4,300 since 3.10.7); the limit is lifted for this call only
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    limit = sys.get_int_max_str_digits() if set_digits else None
+    if set_digits:
+        set_digits(0)
     try:
         return _run(args)
     except (OSError, InputError) as exc:
@@ -206,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # e.g. a dense coefficient list for a huge exponent
         print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
+    finally:
+        if set_digits:
+            set_digits(limit)
 
 
 if __name__ == "__main__":

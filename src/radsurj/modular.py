@@ -5,13 +5,13 @@ Monagan, "Maximal quotient rational reconstruction", ISSAC 2004),
 evaluation of a coefficient map modulo a prime, the first linear
 dependency among monomial columns evaluated at points modulo a prime
 (undetermined coefficients: Sederberg, Anderson and Goldman, CVGIP 28,
-1984), and the gcd over Z of polynomials in one or two variables by
-evaluation, interpolation and Chinese remaindering (Brown, "On Euclid's
-algorithm and the computation of polynomial greatest common divisors",
-J. ACM 18, 1971).  This module imports nothing from the rest of the
-package, so any module can build on it.  Every answer is proven
-exactly, the gcd's by division here and the others by their callers,
-so a bad prime or an unlucky draw can only cost time.
+1984), and the gcd over Z of any number of polynomials in one or two
+variables by evaluation, interpolation and Chinese remaindering (Brown,
+"On Euclid's algorithm and the computation of polynomial greatest
+common divisors", J. ACM 18, 1971).  This module imports nothing from
+the rest of the package, so any module can build on it.  Every answer
+is proven exactly, the gcd's by division here and the others by their
+callers, so a bad prime or an unlucky draw can only cost time.
 """
 
 from __future__ import annotations
@@ -409,24 +409,22 @@ def _brown(polys: list[Dense]) -> Iterator[Dense]:
         last = lift
 
 
-def gcd(
-    f: Mapping[tuple[int, ...], int], g: Mapping[tuple[int, ...], int]
-) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-    """(h, f / h) for h a gcd of f and g over Q with integer
+def gcd(*polys: Mapping[tuple[int, ...], int]) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """(h, polys[0] / h) for h a gcd of polys over Q with integer
     coefficients, each as a map {exponents: c}, for nonzero integer maps
-    in which one or two variables occur, one of them in both; the main
-    variable x is the last common one.  An integer factor common to f
-    and g may stay out of h.
+    in which one or two variables occur, one of them in all; the main
+    variable x is the last one common to all.  An integer factor common
+    to polys may stay out of h.
 
     The contents in x, polynomials in the other variable y, and the
     primitive parts come first; h is the gcd of the contents times the
     gcd of the primitive parts, each from _verified, which proves its
     answer by exact division, so the quotients come with it.
     """
-    n = len(next(iter(f)))
-    both = [{i for e in h for i, k in enumerate(e) if k} for h in (f, g)]
-    main = max(both[0] & both[1])
-    other = next((i for i in both[0] | both[1] if i != main), None)
+    n = len(next(iter(polys[0])))
+    supports = [{i for e in h for i, k in enumerate(e) if k} for h in polys]
+    main = max(set.intersection(*supports))
+    other = next((i for i in set.union(*supports) if i != main), None)
 
     def dense(h: Mapping[tuple[int, ...], int]) -> Dense:
         out: Dense = [[] for _ in range(max(e[main] for e in h) + 1)]
@@ -448,7 +446,7 @@ def gcd(
                     out[tuple(e)] = c
         return out
 
-    (cf, pf), (cg, pg) = _primitive(dense(f)), _primitive(dense(g))
-    c, (qcf, _) = _verified([cf, cg])
-    h, (qf, _) = _verified([pf, pg])
-    return sparse(c, h), sparse(qcf, qf)
+    contents, prims = zip(*(_primitive(dense(h)) for h in polys))
+    c, (qc, *_) = _verified(list(contents))
+    h, (qf, *_) = _verified(list(prims))
+    return sparse(c, h), sparse(qc, qf)

@@ -53,7 +53,8 @@ def complex_roots(coeffs: Sequence[complex]) -> list[complex]:
     configuration is the classical deterministic spiral, so repeated
     calls give identical output.  Converged means no root moved by more
     than DEFAULT_ROOT_TOL times the root bound in a sweep.  Raises
-    NumericError with the best iterate if 500 sweeps do not converge.
+    NumericError with the best iterate if 500 sweeps do not converge or
+    an iterate overflows.
     """
     tol = DEFAULT_ROOT_TOL
     cs = [complex(c) for c in coeffs]
@@ -97,6 +98,9 @@ def complex_roots(coeffs: Sequence[complex]) -> list[complex]:
             break
     else:
         raise NumericError("root iteration did not converge in 500 sweeps", best=roots + z)
+    # an overflowed iterate is NaN, which passes every comparison above
+    if not all(map(cmath.isfinite, z)):
+        raise NumericError("root iteration overflowed", best=roots + z)
     bad = max(abs(value(w)) for w in z)
     if bad > math.sqrt(tol) * radius:
         raise NumericError("root iteration stalled with large residual", best=roots + z)

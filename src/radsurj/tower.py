@@ -159,6 +159,9 @@ class RadicalTower:
             return NotImplemented
         return self.table == other.table and self.levels == other.levels
 
+    def __hash__(self) -> int:
+        return hash((self.table, self.levels))
+
     def __repr__(self) -> str:
         inner = "; ".join(
             f"{lv.name}^{lv.exponent} = {lv.radicand}" for lv in self.levels

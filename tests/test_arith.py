@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from random import Random
@@ -93,6 +94,17 @@ def test_table_mismatch_is_an_error():
     other = MultiPoly.var(T_ONLY, "t")
     with pytest.raises(StructuralError):
         t + other  # noqa: B018
+
+
+def test_equal_objects_hash_alike():
+    # a constant polynomial equals its value, so sets and dicts must find
+    # it by that value; the parametrization hashes through its tower
+    c = MultiPoly.const(TD1, 3)
+    assert c == 3 and hash(c) == hash(3) and 3 in {c} and c in {3}
+    assert MultiPoly.zero(TD1) in {0} and Fraction(1, 2) in {MultiPoly.const(TD1, Fraction(1, 2))}
+    a, b = (parse("tower { d^2 = t^2 + 1; } param { x = d/t; y = t; }") for _ in range(2))
+    assert a == b and a.tower is not b.tower
+    assert hash(a) == hash(b) and hash(a.tower) == hash(b.tower) and len({a, b}) == 1
 
 
 def test_negative_exponent_rejected():
@@ -563,6 +575,65 @@ def test_poly_gcd_matches_unnormalized_prs_reference():
             continue
         theirs = sympy.gcd(to_sympy(f), to_sympy(g))
         assert sympy.simplify(to_sympy(ours) / theirs).is_constant()
+
+
+def test_poly_gcd_of_many_inputs_matches_the_prs_fold():
+    # one modular gcd over 3-6 inputs against the two-input PRS folded
+    # over them, with zeros, constants and inputs sharing no variable
+    rng = Random(20261020)
+
+    def small(table):
+        scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        return scale * random_nonzero_poly(rng, table, max_exp=2, max_terms=3)
+
+    def in_one(v):
+        return v ** rng.randint(1, 3) + rng.randint(-5, 5) * v + rng.randint(1, 9)
+
+    kinds = {"zero": 0, "constant": 0, "disjoint": 0, "shared": 0}
+    for table in (T_ONLY, TD1, TX):
+        for _ in range(16):
+            h = small(table)
+            polys = [small(table) * h for _ in range(rng.randint(3, 6))]
+            if rng.random() < 0.4:
+                polys[rng.randrange(len(polys))] = MultiPoly.zero(table)
+            if rng.random() < 0.2:
+                polys[rng.randrange(len(polys))] = MultiPoly.const(table, Fraction(-7, 2))
+            if table.arity == 2 and rng.random() < 0.3:
+                tt, x = (MultiPoly.var(table, n) for n in table.names)
+                polys[-2:] = [in_one(tt) * (tt + 1), in_one(x) * (x - 2)]
+            ours = poly_gcd(*polys)
+            assert ours == functools.reduce(poly_gcd_prs, polys)
+            nonzero = [f for f in polys if f]
+            kinds["zero"] += len(nonzero) < len(polys)
+            kinds["constant"] += any(f.is_const() for f in nonzero)
+            supports = [f.variables() for f in nonzero]
+            kinds["disjoint"] += all(supports) and not set.intersection(*supports)
+            kinds["shared"] += not ours.is_const()
+            if len(nonzero) > 1:
+                assert list(ours.coeffs) == sorted(ours.coeffs, key=lambda e: (sum(e), e), reverse=True)
+                h, quotient = arith._gcd_quotient(*nonzero)
+                assert _unit_normalize(h * quotient) == _unit_normalize(nonzero[0])
+    assert min(kinds.values()) >= 5, kinds
+    assert poly_gcd(MultiPoly.zero(TX), MultiPoly.zero(TX), MultiPoly.zero(TX)).is_zero()
+
+
+def test_content_is_one_modular_gcd(monkeypatch):
+    # content_wrt hands every coefficient to one gcd; folding them in
+    # pairs took one modular gcd per coefficient after the first
+    calls = []
+    gcd = modular.gcd
+
+    def spy(*polys):
+        calls.append(len(polys))
+        return gcd(*polys)
+
+    monkeypatch.setattr(modular, "gcd", spy)
+    tt, x = MultiPoly.var(TX, "t"), MultiPoly.var(TX, "x")
+    content = (x + 1) * (2 * x - 3)
+    f = content * (tt**3 + x * tt**2 - tt + 3 * x**2 + 1)
+    assert sum(not c.is_const() for c in f.univariate_coeffs(0)) == 4
+    assert content_wrt(f, 0) == content_wrt_ref(f, 0, poly_gcd_prs) == content
+    assert calls == [4]
 
 
 def test_poly_gcd_survives_forced_bad_luck(monkeypatch):

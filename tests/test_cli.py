@@ -4,6 +4,7 @@ import argparse
 import json
 import re
 import resource
+import sys
 from pathlib import Path
 from random import Random
 
@@ -194,15 +195,54 @@ def test_other_package_errors_exit_four(error, monkeypatch, capsys):
         ("x = (10^400*t + 1) / t; y = t;", "missing", "integer division result too large for a float"),
         ("x = (10^400*t + 1) / t; y = t;", "sample", "integer division result too large for a float"),
         ("x = t^500; y = t;", "sample", "complex exponentiation"),
+        (
+            "tower { d^2 = 10^300*t; } param { x = 10^300*d; y = d; }",
+            "sample",
+            "image coordinate too large for a float",
+        ),
     ],
 )
 def test_float_overflow_exits_four(source, command, reason, tmp_path, capsys):
-    # 10^400 has no float; 5^500 on the default schedule's real sweep passes 10^308
+    # 10^400 has no float; 5^500 on the default schedule's real sweep passes
+    # 10^308; 10^300*d overflows inside a complex product, which raises
+    # nothing, and its NaN residual reached the JSON.  A source that is not
+    # a whole file is the param block over an empty tower
     src = tmp_path / "overflow.rs"
-    src.write_text(f"tower {{ }}\nparam {{ {source} }}\n")
+    src.write_text(source if source.startswith("tower") else f"tower {{ }}\nparam {{ {source} }}\n")
     code, doc, err = run([command, str(src), "--stable"], capsys)
     assert code == 4 and doc is None
     assert err == f"error: numeric overflow ({reason})\n"
+
+
+def test_overflowing_candidate_roots_exit_four(tmp_path, capsys):
+    # the lead coefficient's roots are about 1e80, and the root iteration
+    # overflows on the way; its NaN roots were a JSON traceback
+    src = tmp_path / "roots.rs"
+    src.write_text("tower { d^2 = 10^160*t^2 + 1; } param { x = d/t; y = t; }\n")
+    code, doc, err = run(["missing", str(src), "--stable"], capsys)
+    assert code == 4 and doc is None
+    assert err == "error: root iteration overflowed\n"
+
+
+@pytest.mark.parametrize(
+    "param, digits",
+    [
+        pytest.param("x = 10^5000*t; y = t;", "1" + "0" * 5000, id="power"),
+        pytest.param("x = " + "7" * 5000 + "*t; y = t;", "7" * 5000, id="literal"),
+    ],
+)
+def test_numbers_past_the_int_str_limit(param, digits, tmp_path, capsys):
+    # Python converts at most 4,300 digits between int and str by
+    # default; a longer literal or coefficient was a traceback
+    src = tmp_path / "digits.rs"
+    src.write_text(f"tower {{ }} param {{ {param} }}\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, doc, err = run(["check", str(src), "--stable"], capsys)
+    assert code == (0 if doc["surjectivity"]["verdict"] == "CERTIFIED_SURJECTIVE" else 3)
+    assert doc["input"]["components"][0]["numerator"] == f"{digits}*t"
+    assert err == ""
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    validate(doc)
 
 
 # ----------------------------------------------------------------------

@@ -542,8 +542,7 @@ def test_plane_route_spends_one_step_per_column(monkeypatch):
 def test_each_curve_content_is_computed_once(monkeypatch):
     # candidate_polys computes cont_t(G_i) and the plane route's guard
     # reads it; the implicitize command, which has no candidates, computes
-    # it once too.  Every package module's binding is spied on but
-    # arith's, whose gcds take contents of their own
+    # it once too.  Every package module's binding is spied on
     calls = []
 
     def spy(f, var):
@@ -551,7 +550,7 @@ def test_each_curve_content_is_computed_once(monkeypatch):
         return content_wrt(f, var)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("radsurj.") and name != "radsurj.arith" and hasattr(module, "content_wrt"):
+        if name.startswith("radsurj.") and hasattr(module, "content_wrt"):
             monkeypatch.setattr(module, "content_wrt", spy)
     param = circle_param()
     curves = [g for g, _ in _curves(param)]

@@ -131,6 +131,15 @@ def test_complex_roots_nonconvergence_returns_best(monkeypatch):
     assert sorted_roots(best) == pytest.approx([-math.sqrt(2), math.sqrt(2)])
 
 
+def test_complex_roots_overflow_raises():
+    # z^2 - 1e160 overflows at the start spiral; its NaN iterates passed
+    # both the convergence and the residual test and came back as roots
+    with pytest.raises(NumericError, match="overflowed"):
+        complex_roots([-1e160, 0, 1])
+    with pytest.raises(NumericError):  # no overflow here: a large residual
+        complex_roots([-1e150, 0, 1])
+
+
 # ----------------------------------------------------------------------
 # branches
 
