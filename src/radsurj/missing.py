@@ -4,7 +4,10 @@ When the surjectivity certificate fails, the curve can still miss at
 most finitely many points.  This module locates the candidates: for
 each coordinate it eliminates the radicals from x_i*q_i - p_i, reads
 off the leading t-coefficient c_i(x_i) of the cleaned result, and
-intersects the per-coordinate root sets with the implicit curve.  It
+intersects the cartesian product of the per-coordinate root sets with
+the implicit curve.  A constant c_i empties that product, leaving
+nothing to filter: missing_candidates then looks for the curve only by
+the plane route and, where that declines, reports no equation.  It
 also reports the two bounds (product of the c_i degrees, product of
 the tower degrees at infinity) and, through surjcheck.condition2_locus,
 the locus where both numerator and denominator vanish on the castle.
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import modular
 from .arith import Budget, MultiPoly, Role, TermOrder, VarTable, content_wrt, squarefree_part
@@ -44,7 +47,9 @@ MAX_FAILED_DRAWS = 100  # failed draws in a row before a prime is left
 # Largest bidegree box the plane route eliminates.  Elimination is cubic
 # in the column count: a box with no dependency takes 0.13 s at 100
 # unknowns, 0.76 s at 196 and 4.8 s at 361 (tall.rs's box), measured on
-# one core of a 2-vCPU host, so past this the Groebner route runs.
+# one core of a 2-vCPU host, so past this implicitize runs the Groebner
+# route, and missing_candidates, given an empty candidate product, computes
+# no equation at all.
 MAX_UNKNOWNS = 200
 SEED = 20261020
 
@@ -417,29 +422,43 @@ class MissingPointReport(CandidateSet):
     condition2: tuple[Condition2Locus, ...]
 
 
-def filtered_candidates(
-    param: RadicalParametrization, step_budget: int = DEFAULT_STEP_BUDGET
+def _plane_route(
+    param: RadicalParametrization, step_budget: int, curves: Sequence[tuple[MultiPoly | None, MultiPoly | None]]
+) -> list[MultiPoly] | None:
+    """implicitize's plane route alone: [F] where it finds F, None where it
+    declines or n != 2.  Elimination, which can stall, never runs."""
+    if param.n != 2:
+        return None
+    f = plane_curve(param, curves, Budget(step_budget))
+    return None if f is None else [f]
+
+
+def _filtered(
+    param: RadicalParametrization, step_budget: int, empty_route: Callable[..., list[MultiPoly] | None]
 ) -> CandidateSet:
-    """Cartesian candidates filtered by the implicit equations."""
+    """The cartesian product of the coordinates' roots, filtered by the
+    implicit equations.
+
+    The product is built first.  implicitize gives the equations, except
+    when the product is empty and no coordinate degenerated: then
+    empty_route, called as implicitize is, gives them, and its None
+    leaves them uncomputed with a note.
+    """
     filter_tol = DEFAULT_FILTER_TOL
     notes: list[str] = []
     coordinates = candidate_polys(param)
+    degenerate = [c for c in coordinates if c.lead_coeff is None]
+    candidates = [] if degenerate else list(itertools.product(*(c.numeric_roots for c in coordinates)))
+    route = implicitize if candidates or degenerate else empty_route
     try:
-        implicit = implicitize(param, step_budget, [(c.curve_poly, c.content) for c in coordinates])
+        implicit = route(param, step_budget, [(c.curve_poly, c.content) for c in coordinates])
     except ResourceError:
         implicit = None
         notes.append("implicitization budget exhausted, candidates unfiltered")
-    axes: list[tuple[complex, ...]] = []
-    degenerate = False
-    for coord in coordinates:
-        if coord.lead_coeff is None:
-            degenerate = True
-            notes.append(f"coordinate {coord.name}: {coord.note}")
-        elif coord.degree == 0:
-            axes.append(())
-        else:
-            axes.append(coord.numeric_roots)
-    candidates = [] if degenerate else list(itertools.product(*axes))
+    else:
+        if implicit is None:
+            notes.append("no candidates to filter, implicit equation not computed")
+    notes += [f"coordinate {c.name}: {c.note}" for c in degenerate]
     # each generator is evaluated only on the candidates that every
     # earlier one kept; a nan residual keeps its candidate
     for g in implicit or ():
@@ -454,11 +473,25 @@ def filtered_candidates(
     )
 
 
+def filtered_candidates(
+    param: RadicalParametrization, step_budget: int = DEFAULT_STEP_BUDGET
+) -> CandidateSet:
+    """Cartesian candidates filtered by the implicit equations, which
+    implicitize computes even when there is nothing to filter: sample
+    measures its image cloud against them."""
+    return _filtered(param, step_budget, implicitize)
+
+
 def missing_candidates(
     param: RadicalParametrization, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> MissingPointReport:
-    """Filtered candidates plus both bounds and the condition-2 loci."""
-    found = filtered_candidates(param, step_budget)
+    """Filtered candidates plus both bounds and the condition-2 loci.
+
+    An empty candidate product has nothing to filter, so only the plane
+    route looks for the implicit equation; where it declines, or n != 2,
+    the report's implicit is None with a note.
+    """
+    found = _filtered(param, step_budget, _plane_route)
     notes = found.notes
     locus = tuple(condition2_locus(param, i, step_budget) for i in range(1, param.n + 1))
     if any(loc.classification == "unknown" for loc in locus):

@@ -12,7 +12,7 @@ import pytest
 from radsurj import cli, missing, modular
 from radsurj.arith import CAP, Budget, MultiPoly, Role, VarTable, content_wrt, squarefree_part
 from radsurj.errors import ResourceError
-from radsurj.ideal import DEFAULT_STEP_BUDGET
+from radsurj.ideal import DEFAULT_STEP_BUDGET, elimination_ideal
 from radsurj.missing import (
     DEFAULT_FILTER_TOL,
     CandidateSet,
@@ -376,7 +376,7 @@ def test_hypothesis2_exact_agrees_with_condition2_locus(monkeypatch):
     # which the loci do not read, is stubbed out: implicitize stalls
     # on some of these instances
     stub = CandidateSet((), (), None, ())
-    monkeypatch.setattr(missing, "filtered_candidates", lambda param, budget: stub)
+    monkeypatch.setattr(missing, "_filtered", lambda param, budget, empty_route: stub)
     kinds = []
     for param in _agreement_params():
         for budget in (0, 1, 3, DEFAULT_STEP_BUDGET):
@@ -762,6 +762,87 @@ def test_missing_candidates_budget_note_and_unfiltered():
     # without the filter the full cartesian product is reported
     assert len(rep.candidates) == 4
 
+
+NOTHING_TO_FILTER = "no candidates to filter, implicit equation not computed"
+
+# check_towers seed-0 check_000.rs: check is INCONCLUSIVE, both lead
+# coefficients are constant and the plane route's box holds 15 x 18
+# unknowns, past MAX_UNKNOWNS, so missing stalled in elimination
+CHECK_000 = (
+    "tower { d1^3 = -4*t^4 + 4*t^3 + 4*t; }\n"
+    "param { x = (4*t^3*d1^2 + 4*t^3*d1 + 3*t^2*d1^2) / (4*t^4 + 2*t^2); y = -3*t^2*d1^2 + 2; }\n"
+)
+
+
+@pytest.mark.parametrize("name", ["tall.rs", "check_000.rs"])
+def test_empty_product_missing_finishes_without_implicit(tmp_path, name):
+    # a constant lead coefficient empties the candidate product and the
+    # plane route declines; missing ran past 8 s in elimination on both,
+    # so it runs in a child process with a timeout
+    path = Path(__file__).resolve().parent.parent / "bench" / "frozen" / name
+    if name == "check_000.rs":
+        path = tmp_path / name
+        path.write_text(CHECK_000)
+    proc = run_child(["-m", "radsurj.cli", "missing", str(path), "--stable"], timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)["missing"]
+    assert (doc["candidates"], doc["implicit"], doc["notes"]) == ([], None, [NOTHING_TO_FILTER])
+
+
+def test_empty_product_never_reaches_elimination(monkeypatch, tmp_path, capsys):
+    # missing skips elimination where the product is empty: on tall.rs,
+    # whose plane route declines, and on an n = 3 input, which has none.
+    # Elimination still runs for a nonempty product whose plane route
+    # declines (missing_022, a point), and for sample and implicitize,
+    # which need the equations whatever the product holds.  Elimination
+    # stalls on tall.rs, so the first spy refuses to run it
+    def patch(spy):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("radsurj.") and hasattr(module, "elimination_ideal"):
+                monkeypatch.setattr(module, "elimination_ideal", spy)
+
+    def refuse(gens, keep, step_budget):
+        raise AssertionError(f"elimination onto {keep}")
+
+    calls = []
+
+    def count(gens, keep, step_budget):
+        calls.append(tuple(keep))
+        return elimination_ideal(gens, keep, step_budget)
+
+    patch(refuse)
+    three = "tower { d^2 = t; } param { x = d; y = t; z = d*t; }"
+    tall = (Path(__file__).resolve().parent.parent / "bench" / "frozen" / "tall.rs").read_text()
+    for source in (tall, three):
+        rep = missing_candidates(parse(source))
+        assert (rep.candidates, rep.implicit, rep.notes) == ((), None, (NOTHING_TO_FILTER,))
+    patch(count)
+    point = missing_candidates(parse(dict(_missing_elim_corpus(0))["missing_022.rs"]))
+    assert len(point.candidates) == 1 and calls == [("x", "y")]
+    calls.clear()
+    path = tmp_path / "three.rs"
+    path.write_text(three)
+    assert cli.main(["sample", str(path), "--points", "10", "--stable"]) == 0
+    assert json.loads(capsys.readouterr().out)["sample"]["max_implicit_residual"] < 1e-12
+    assert calls == [("x", "y", "z")]
+    assert [str(g) for g in implicitize(parse(three))] == ["x^2 - y", "x*y - z", "-x*z + y^2"]
+    assert calls == [("x", "y", "z")] * 2
+
+
+def test_empty_product_keeps_the_plane_routes_equation():
+    # on every empty product that finished before, the plane route alone
+    # gives missing the equation implicitize gives
+    data = Path(__file__).resolve().parent / "data"
+    sources = [text for name, text in _missing_elim_corpus(0) if name != "tall.rs"]
+    sources += [(data / name).read_text() for name in ("circle.rs", "nested.rs")]
+    checked = 0
+    for source in sources:
+        param = parse(source)
+        rep = missing_candidates(param)
+        if hyp1_bound(rep.coordinates) == 0:
+            assert missing_json(rep)["implicit"] == [str(g) for g in implicitize(param)]
+            checked += 1
+    assert checked == 11 + 2
 
 def filtered_like_point_rule(monkeypatch, axes, implicit):
     """filtered_candidates over the candidate product of axes, against the
