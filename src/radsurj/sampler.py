@@ -14,10 +14,11 @@ residuals only on rows that no denominator rejects; each row sees the
 float operations of evaluating its point alone, in the same order, so
 the cloud does not depend on the block, and a block whose columns raise
 is redone one sample at a time, so the error is the first failing
-sample's.  The candidate probes evaluate point by point (see _probe).
-The cloud is kept as columns t, d1, ..., dm, x1, ..., xn, the CSV's
-order, and a candidate's nearest cloud point is found over its image
-columns.
+sample's.  The candidate probes evaluate point by point (see _prober),
+from each polynomial's complex terms with eval_complex's products and
+sums.  The cloud is kept as columns t, d1, ..., dm, x1, ..., xn, the
+CSV's order, and a candidate's distance to every cloud point is found
+by columns too, adding in _image_distance's order.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, islice, repeat
-from operator import add, le, mul, not_, truediv
-from typing import Iterator, Sequence
+from operator import add, le, mul, not_, sub, truediv
+from typing import Callable, Iterator, Sequence
 
 from .arith import MultiPoly
 from .errors import InputError, NumericError, RadsurjError, StructuralError
@@ -120,27 +122,49 @@ def enumerate_branches(tower: RadicalTower, t0: complex) -> list[tuple[complex, 
     (relative), else NumericError names the level.
     """
     branch_tol = DEFAULT_BRANCH_TOL
-    partial: list[tuple[complex, ...]] = [()]
-    for i, level in enumerate(tower.levels):
+    points: list[tuple[complex, ...]] = [(t0,)]
+    for level in tower.levels:
         e = level.exponent
-        unit = cmath.exp(2j * cmath.pi / e)
-        rotations = [unit**j for j in range(e)]
+        rotations = _rotations(e)
+        radicand = level.radicand.complex_terms()
         grown: list[tuple[complex, ...]] = []
-        for deltas in partial:
-            point = [t0, *deltas] + [0j] * (tower.m - i)
-            val = level.radicand.eval_complex(point)
+        for point in points:
+            # the radicand reads only t and earlier radicals, so the prefix
+            # (t0, d_1, ..., d_i) holds all it reads, and val is final
+            val = _value(radicand, point)
             if val == 0:
-                grown.append(deltas + (0j,))
+                grown.append((*point, 0j))
                 continue
             principal = cmath.exp(cmath.log(val) / e)
             for w in rotations:
                 delta = principal * w
-                # val is final: the radicand reads only earlier radicals
-                if abs(delta**e - val) > branch_tol * max(1.0, abs(delta) ** e):
+                # max(1.0, size) without the call: nan and sizes up to 1 give 1.0
+                size = abs(delta) ** e
+                if abs(delta**e - val) > branch_tol * (size if size > 1.0 else 1.0):
                     raise NumericError(f"branch violates level {level.name} beyond tolerance")
-                grown.append(deltas + (delta,))
-        partial = grown
-    return partial
+                grown.append((*point, delta))
+        points = grown
+    return [point[1:] for point in points]
+
+
+@cache
+def _rotations(e: int) -> tuple[complex, ...]:
+    """The e-th roots of unity unit**j, j = 0, ..., e - 1, once per exponent."""
+    unit = cmath.exp(2j * cmath.pi / e)
+    return tuple(unit**j for j in range(e))
+
+
+def _value(terms: Sequence, point: Sequence[complex]) -> complex:
+    """MultiPoly.eval_complex from the poly's complex_terms(), with the same
+    products and sums in the same order; point may stop after the last
+    variable the terms read."""
+    total = 0j
+    for c, mono in terms:
+        term = c
+        for i, k in mono:
+            term *= point[i] ** k
+        total += term
+    return total
 
 
 @dataclass(frozen=True)
@@ -289,28 +313,56 @@ class CandidateVerdict:
 
 
 def _image_distance(a: Sequence[complex], b: Sequence[complex]) -> float:
-    return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(a, b)))
+    """Euclidean distance of two images, the squares added left to right.
+
+    Not sum(): from Python 3.12 on it adds floats with compensation,
+    and _cloud_distances, which must give the same floats, adds plainly.
+    """
+    total = 0.0
+    for x, y in zip(a, b):
+        total += abs(x - y) ** 2
+    return math.sqrt(total)
 
 
-def _probe(
-    param: RadicalParametrization, candidate: tuple[complex, ...], t: complex, tol: float
-) -> float:
-    """Distance from candidate to its nearest accepted image over t (inf if none).
+def _prober(
+    param: RadicalParametrization, candidate: tuple[complex, ...], tol: float
+) -> Callable[[complex], float]:
+    """probe(t): distance from candidate to its nearest accepted image over t
+    (inf if none).
 
     The sampler's one per-point evaluation.  Probes come one parameter
-    value at a time, each placed by the one before, and sending each
-    through a one-row column block made the confirm stage 1.4 times as
-    slow: 0.55 s against 0.38-0.40 s over the benchmark's 24 seed-0
-    sample_dense files, --points 1000, on a 2-vCPU host.
+    value at a time, each placed by the one before, so they do not form
+    column blocks; instead each component's numerator and denominator
+    terms are fetched once per chase, and every probe evaluates them on
+    each branch of enumerate_branches with eval_complex's products and
+    sums.  A denominator within tol of zero rejects the branch before
+    any numerator is evaluated, as in the cloud.  Over the benchmark's 24
+    seed-0 sample_dense files, --points 1000, on a 2-vCPU host, four
+    alternating in-process runs put the confirm stage at 0.48-0.51 s,
+    against 0.70-0.84 s when every evaluation went through eval_complex
+    and the nearest-point scan went row by row (0.08-0.10 s of it now,
+    0.18-0.20 s then).
     """
-    distances = []
-    for deltas in enumerate_branches(param.tower, t):
-        point = [t, *deltas]
-        dens = [c.denominator.eval_complex(point) for c in param.components]
-        if not any(abs(d) <= tol for d in dens):
-            image = [c.numerator.eval_complex(point) / d for c, d in zip(param.components, dens)]
-            distances.append(_image_distance(image, candidate))
-    return min(distances, default=math.inf)
+    tower = param.tower
+    parts = [
+        (c.numerator.complex_terms(), c.denominator.complex_terms()) for c in param.components
+    ]
+
+    def probe(t: complex) -> float:
+        distances = []
+        for deltas in enumerate_branches(tower, t):
+            point = (t, *deltas)
+            dens = [_value(den, point) for _, den in parts]
+            if not any(map(le, map(abs, dens), repeat(tol))):
+                image = [_value(num, point) / d for (num, _), d in zip(parts, dens)]
+                distances.append(_image_distance(image, candidate))
+        return min(distances, default=math.inf)
+
+    return probe
+
+
+# the ring search's 12 probe directions around its center
+_RING = tuple(cmath.exp(2j * cmath.pi * k / 12) for k in range(12))
 
 
 def _refine(
@@ -327,21 +379,40 @@ def _refine(
     closer, and the center walks outward about 2 units a round until the
     100-round cap.  That is how 36 of the 40 searches of the benchmark's
     seed-0 sample_dense files end, about 193 units from where they began.
+    One chase builds one probe (see _prober) and takes its 12 directions
+    from _RING.
     """
-    center, dist = t0, _probe(param, candidate, t0, tol)
+    probe = _prober(param, candidate, tol)
+    center, dist = t0, probe(t0)
     radius = 0.5
     rounds = 0
     while radius > 1e-10 and rounds < 100:
         rounds += 1
         improved = False
-        for k in range(12):
-            t = center + radius * cmath.exp(2j * cmath.pi * k / 12)
-            d = _probe(param, candidate, t, tol)
+        for w in _RING:
+            t = center + radius * w
+            d = probe(t)
             if d < dist:
                 center, dist, improved = t, d, True
         if not improved:
             radius *= 0.5
     return center, dist
+
+
+def _cloud_distances(
+    images: Sequence[Sequence[complex]], cand: tuple[complex, ...]
+) -> list[float]:
+    """_image_distance(row, cand) at every row of the image columns, by
+    columns: the squares of one coordinate after another, added in
+    _image_distance's order.  The fold starts at the first column, not
+    at 0.0; a square is never -0.0, so 0.0 + q is q."""
+    squares = (
+        map(pow, map(abs, map(sub, col, repeat(c))), repeat(2)) for col, c in zip(images, cand)
+    )
+    total = next(squares)
+    for column in squares:
+        total = map(add, total, column)
+    return list(map(math.sqrt, total))
 
 
 def confirm_candidates(
@@ -361,7 +432,7 @@ def confirm_candidates(
     verdicts: list[CandidateVerdict] = []
     for cand in candidates:
         cand = tuple(complex(c) for c in cand)
-        dists = list(map(_image_distance, zip(*images), repeat(cand)))
+        dists = _cloud_distances(images, cand)
         # seeded at inf, so a nan distance never wins; a tie goes to the first row
         dist = min([math.inf, *dists])
         verdict = CandidateVerdict(cand, "likely-missing", None, dist)

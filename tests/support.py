@@ -7,7 +7,9 @@ built from it, Sylvester determinant, sign-product conjugation, the
 product on exponent tuples and Fractions, the tower norm expanded on
 Fraction polynomials, single-level fast guilt, exact and uncached
 complex evaluation, the image cloud one point at a time and the row
-loop that found a candidate's nearest cloud point, division and
+loop that found a candidate's nearest cloud point, the branch
+enumeration, probe and ring search before their per-point path was
+trimmed, division and
 Groebner reduction on immutable polynomials, division with remainder
 on exponent tuples under graded lex, the tower normal form by
 substitution, the term order key that
@@ -18,6 +20,7 @@ the common-zero ideal without the resultant gcd h) are second
 implementations that the tests compare the package against.
 """
 
+import cmath
 import heapq
 import itertools
 import math
@@ -42,11 +45,19 @@ from radsurj.arith import (
     _unit_normalize,
     poly_gcd,
 )
-from radsurj.errors import DomainError, InputError, RadsurjError, ResourceError, StructuralError
+from radsurj.errors import (
+    DomainError,
+    InputError,
+    NumericError,
+    RadsurjError,
+    ResourceError,
+    StructuralError,
+)
 from radsurj.ideal import DEFAULT_STEP_BUDGET, common_zeros
 from radsurj.sampler import (
     DEFAULT_BRANCH_TOL,
     SampleReport,
+    _image_distance,
     default_samples,
     enumerate_branches,
 )
@@ -283,10 +294,73 @@ def nearest_cloud_point_ref(report: SampleReport, m: int, cand) -> tuple[complex
     """
     best, dist = None, float("inf")
     for row in zip(*report.columns):
-        d = math.sqrt(sum(abs(x - c) ** 2 for x, c in zip(row[1 + m :], cand)))
+        d = _image_distance(row[1 + m :], cand)
         if d < dist:
             best, dist = row[0], d
     return best, dist
+
+
+def enumerate_branches_ref(tower: RadicalTower, t0: complex) -> list[tuple[complex, ...]]:
+    """sampler.enumerate_branches as it ran before it cached each
+    exponent's rotations and grew point tuples: the rotations recomputed
+    on every call, each radicand through eval_complex on a point padded
+    with zeros."""
+    branch_tol = DEFAULT_BRANCH_TOL
+    partial: list[tuple[complex, ...]] = [()]
+    for i, level in enumerate(tower.levels):
+        e = level.exponent
+        unit = cmath.exp(2j * cmath.pi / e)
+        rotations = [unit**j for j in range(e)]
+        grown: list[tuple[complex, ...]] = []
+        for deltas in partial:
+            point = [t0, *deltas] + [0j] * (tower.m - i)
+            val = level.radicand.eval_complex(point)
+            if val == 0:
+                grown.append(deltas + (0j,))
+                continue
+            principal = cmath.exp(cmath.log(val) / e)
+            for w in rotations:
+                delta = principal * w
+                # val is final: the radicand reads only earlier radicals
+                if abs(delta**e - val) > branch_tol * max(1.0, abs(delta) ** e):
+                    raise NumericError(f"branch violates level {level.name} beyond tolerance")
+                grown.append(deltas + (delta,))
+        partial = grown
+    return partial
+
+
+def probe_ref(param, candidate: tuple[complex, ...], t: complex, tol: float) -> float:
+    """The sampler's probe as it ran before it fetched each component's
+    terms once per chase: every polynomial through eval_complex, on every
+    branch of enumerate_branches_ref."""
+    distances = []
+    for deltas in enumerate_branches_ref(param.tower, t):
+        point = [t, *deltas]
+        dens = [c.denominator.eval_complex(point) for c in param.components]
+        if not any(abs(d) <= tol for d in dens):
+            image = [c.numerator.eval_complex(point) / d for c, d in zip(param.components, dens)]
+            distances.append(_image_distance(image, candidate))
+    return min(distances, default=math.inf)
+
+
+def refine_ref(param, candidate: tuple[complex, ...], t0: complex, tol: float) -> tuple[complex, float]:
+    """sampler._refine as it ran before it took its directions from a
+    precomputed ring: cmath.exp of each direction on every probe, each
+    probe through probe_ref."""
+    center, dist = t0, probe_ref(param, candidate, t0, tol)
+    radius = 0.5
+    rounds = 0
+    while radius > 1e-10 and rounds < 100:
+        rounds += 1
+        improved = False
+        for k in range(12):
+            t = center + radius * cmath.exp(2j * cmath.pi * k / 12)
+            d = probe_ref(param, candidate, t, tol)
+            if d < dist:
+                center, dist, improved = t, d, True
+        if not improved:
+            radius *= 0.5
+    return center, dist
 
 
 def complex_eval_corpus(rng: Random) -> list[tuple[MultiPoly, list[tuple[complex, ...]]]]:

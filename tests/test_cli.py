@@ -581,6 +581,7 @@ GOLDEN_CASES = [
     ),
     ("cotas_missing.json", ["missing", str(DATA / "cotas.rs"), "--stable"]),
     ("nested_implicitize.json", ["implicitize", str(DATA / "nested.rs"), "--stable"]),
+    ("cotas_sample.json", ["sample", str(DATA / "cotas.rs"), "--stable"]),
 ]
 
 

@@ -1,6 +1,8 @@
 import cmath
 import csv
 import math
+from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from random import Random
 
@@ -30,10 +32,13 @@ from support import (
     TD12,
     T_ONLY,
     complex_eval_corpus,
+    enumerate_branches_ref,
     nearest_cloud_point_ref,
+    probe_ref,
     random_poly,
     random_reduced_poly,
     random_tower,
+    refine_ref,
     sample_images_ref,
     scaled_residual_ref,
 )
@@ -308,6 +313,10 @@ def confirm_like_the_row_loop(monkeypatch, param, samples, cands):
     """confirm_candidates against nearest_cloud_point_ref: the same
     verdicts and the same seeds handed to _refine."""
     cloud = sample_images(param, samples)
+    images = cloud.columns[1 + param.tower.m :]
+    for cand in cands:
+        rows = [sampler._image_distance(row, cand) for row in zip(*images)]
+        assert repr(sampler._cloud_distances(images, cand)) == repr(rows)
     refine = sampler._refine
     seeds = []
 
@@ -351,6 +360,43 @@ def test_confirm_candidates_seeds_at_the_row_loops_nearest_point(monkeypatch):
     assert seeds == [] and verdicts[0].verdict == "likely-missing"
     doc = sample_json(cloud, verdicts)
     assert doc["accepted"] == 0 and doc["candidates"][0]["distance"] is None
+
+
+def fold(squares):
+    """The left fold _image_distance adds its squares in."""
+    total = 0.0
+    for q in squares:
+        total += q
+    return total
+
+
+def test_nearest_scan_matches_image_distance_on_one_to_three_coordinates(monkeypatch):
+    # a nan coordinate (inf - inf in the denominator at t = 1e10), an
+    # infinite one (10^10 * t^30 at t = 1e10, finite wherever the ring
+    # search goes), and rows tied at the minimum (t^2 at t = 1 and t = -1),
+    # in clouds of 1, 2 and 3 coordinates
+    unit = MultiPoly.one(T_ONLY)
+    nan = (unit, 10**300 * (tt**2 - tt**3))
+    inf = (10**10 * tt**30, unit)
+    tied = (tt**2, unit)
+    samples = [1e10 + 0j, -1 + 0j, 1 + 0j, 2 + 0j, 0.5 + 0.5j]
+    cands = [(0j,) * 3, (1 + 0j,) * 3, (1j, -1 + 0j, 4 + 0j)]
+    seen = set()
+    for comps in ([nan], [tied], [inf], [nan, tied], [tied, inf], [nan, tied, inf], [tied] * 3):
+        param = normalize_param(RadicalTower(T_ONLY, []), comps)[0]
+        n = len(comps)
+        cloud, _, _ = confirm_like_the_row_loop(monkeypatch, param, samples, [c[:n] for c in cands])
+        seen |= {repr(abs(x)) for x in chain.from_iterable(cloud.columns[1:])}
+    assert {"nan", "inf"} <= seen
+    # three squares whose left fold loses both small ones, while the
+    # compensated sum() of Python 3.12 on keeps them: 2.25 + 2e-16 + 2e-16
+    small = Fraction(14, 10**9)
+    comps = [(Fraction(3, 2) * tt, unit), (small * tt, unit), (small * tt, unit)]
+    param = normalize_param(RadicalTower(T_ONLY, []), comps)[0]
+    cloud, _, _ = confirm_like_the_row_loop(monkeypatch, param, [1 + 0j, -1 + 0j], [(0j,) * 3])
+    squares = [abs(x) ** 2 for x in next(zip(*cloud.columns[1:]))]
+    assert math.sqrt(fold(squares)) != math.sqrt(math.fsum(squares))
+    assert sampler._cloud_distances(cloud.columns[1:], (0j,) * 3)[0] == math.sqrt(fold(squares))
 
 
 # ----------------------------------------------------------------------
@@ -553,7 +599,47 @@ def test_probe_is_the_nearest_image_of_the_point_loop():
             images = sample_images_ref(param, [t0], tol).columns[1 + param.tower.m :]
             rows = zip(*images)
             want = min((sampler._image_distance(row, cand) for row in rows), default=math.inf)
-            assert repr(sampler._probe(param, cand, t0, tol)) == repr(want)
+            assert repr(sampler._prober(param, cand, tol)(t0)) == repr(want)
+
+
+def outcome(fn, *args):
+    """repr of fn(*args), or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError, NumericError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_branches_probes_and_refine_match_the_seed_routines():
+    # heights 0-2, exponents 2-3, nested radicands; t on the axes, at
+    # the first radicand's zeros (integers often hit one exactly) and at
+    # random; candidates reached at some t, or not
+    rng = Random(20261021)
+    for k in range(36):
+        param = random_param(rng, k % 3)
+        tower = param.tower
+        ts = [complex(rng.uniform(-3, 3)), complex(0, rng.uniform(-3, 3))]
+        ts += [complex(rng.randint(-2, 2)), complex(rng.uniform(-3, 3), rng.uniform(-3, 3))]
+        if tower.levels:
+            radicand = tower.levels[0].radicand
+            coeffs = [0] * (radicand.degree(0) + 1)
+            for expo, c in radicand.coeffs.items():
+                coeffs[expo[0]] += c
+            ts += complex_roots([complex(c) for c in coeffs])
+        for t0 in ts:
+            assert outcome(enumerate_branches, tower, t0) == outcome(enumerate_branches_ref, tower, t0)
+        tol = rng.choice((0.0, sampler.DEFAULT_BRANCH_TOL, 0.5))
+        cloud = sample_images_ref(param, [rng.choice(ts)], tol).columns[1 + tower.m :]
+        if cloud[0] and rng.random() < 0.5:
+            cand = next(zip(*cloud))
+        else:
+            cand = tuple(complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in param.components)
+        probe = sampler._prober(param, cand, tol)
+        for t0 in ts:
+            assert outcome(probe, t0) == outcome(probe_ref, param, cand, t0, tol)
+        t0 = rng.choice(ts)
+        want = outcome(refine_ref, param, cand, t0, tol)
+        assert outcome(sampler._refine, param, cand, t0, tol) == want
 
 
 @pytest.mark.parametrize("name", ["cotas.rs", "nested.rs"])
