@@ -100,6 +100,20 @@ def _as_fraction(c) -> Fraction:
     return Fraction(c)
 
 
+def eval_terms(terms: Sequence, values: Sequence[complex]) -> complex:
+    """A polynomial's value from its complex_terms(): each term's product
+    in mono order, the terms added in order.  The one float evaluation
+    order, shared by eval_complex and the sampler's point evaluations;
+    values may stop after the last variable the terms read."""
+    total = 0j
+    for c, mono in terms:
+        term = c
+        for i, k in mono:
+            term *= values[i] ** k
+        total += term
+    return total
+
+
 class MultiPoly:
     """Immutable sparse polynomial with Fraction coefficients."""
 
@@ -322,13 +336,7 @@ class MultiPoly:
     def eval_complex(self, values: Sequence[complex]) -> complex:
         if len(values) != self.table.arity:
             raise StructuralError("evaluation point has wrong arity")
-        total = 0j
-        for c, mono in self.complex_terms():
-            term = c
-            for i, k in mono:
-                term *= values[i] ** k
-            total += term
-        return total
+        return eval_terms(self.complex_terms(), values)
 
     # ------------------------------------------------------------------
     # comparisons, hashing, printing

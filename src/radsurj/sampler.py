@@ -14,11 +14,11 @@ residuals only on rows that no denominator rejects; each row sees the
 float operations of evaluating its point alone, in the same order, so
 the cloud does not depend on the block, and a block whose columns raise
 is redone one sample at a time, so the error is the first failing
-sample's.  The candidate probes evaluate point by point (see _prober),
-from each polynomial's complex terms with eval_complex's products and
-sums.  The cloud is kept as columns t, d1, ..., dm, x1, ..., xn, the
-CSV's order, and a candidate's distance to every cloud point is found
-by columns too, adding in _image_distance's order.
+sample's.  The candidate probes evaluate point by point (see _prober)
+through arith.eval_terms, the loop eval_complex runs.  The cloud is
+kept as columns t, d1, ..., dm, x1, ..., xn, the CSV's order, and a
+candidate's distance to every cloud point is found by columns too,
+adding in _image_distance's order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import compress, islice, repeat
 from operator import add, le, mul, not_, sub, truediv
 from typing import Callable, Iterator, Sequence
 
-from .arith import MultiPoly
+from .arith import MultiPoly, eval_terms
 from .errors import InputError, NumericError, RadsurjError, StructuralError
 from .surjcheck import RadicalParametrization
 from .tower import RadicalTower
@@ -131,16 +131,14 @@ def enumerate_branches(tower: RadicalTower, t0: complex) -> list[tuple[complex, 
         for point in points:
             # the radicand reads only t and earlier radicals, so the prefix
             # (t0, d_1, ..., d_i) holds all it reads, and val is final
-            val = _value(radicand, point)
+            val = eval_terms(radicand, point)
             if val == 0:
                 grown.append((*point, 0j))
                 continue
             principal = cmath.exp(cmath.log(val) / e)
             for w in rotations:
                 delta = principal * w
-                # max(1.0, size) without the call: nan and sizes up to 1 give 1.0
-                size = abs(delta) ** e
-                if abs(delta**e - val) > branch_tol * (size if size > 1.0 else 1.0):
+                if abs(delta**e - val) > branch_tol * max(1.0, abs(delta) ** e):
                     raise NumericError(f"branch violates level {level.name} beyond tolerance")
                 grown.append((*point, delta))
         points = grown
@@ -152,19 +150,6 @@ def _rotations(e: int) -> tuple[complex, ...]:
     """The e-th roots of unity unit**j, j = 0, ..., e - 1, once per exponent."""
     unit = cmath.exp(2j * cmath.pi / e)
     return tuple(unit**j for j in range(e))
-
-
-def _value(terms: Sequence, point: Sequence[complex]) -> complex:
-    """MultiPoly.eval_complex from the poly's complex_terms(), with the same
-    products and sums in the same order; point may stop after the last
-    variable the terms read."""
-    total = 0j
-    for c, mono in terms:
-        term = c
-        for i, k in mono:
-            term *= point[i] ** k
-        total += term
-    return total
 
 
 @dataclass(frozen=True)
@@ -334,9 +319,9 @@ def _prober(
     value at a time, each placed by the one before, so they do not form
     column blocks; instead each component's numerator and denominator
     terms are fetched once per chase, and every probe evaluates them on
-    each branch of enumerate_branches with eval_complex's products and
-    sums.  A denominator within tol of zero rejects the branch before
-    any numerator is evaluated, as in the cloud.  Over the benchmark's 24
+    each branch of enumerate_branches with eval_terms.  A denominator
+    within tol of zero rejects the branch before any numerator is
+    evaluated, as in the cloud.  Over the benchmark's 24
     seed-0 sample_dense files, --points 1000, on a 2-vCPU host, four
     alternating in-process runs put the confirm stage at 0.48-0.51 s,
     against 0.70-0.84 s when every evaluation went through eval_complex
@@ -352,9 +337,9 @@ def _prober(
         distances = []
         for deltas in enumerate_branches(tower, t):
             point = (t, *deltas)
-            dens = [_value(den, point) for _, den in parts]
+            dens = [eval_terms(den, point) for _, den in parts]
             if not any(map(le, map(abs, dens), repeat(tol))):
-                image = [_value(num, point) / d for (num, _), d in zip(parts, dens)]
+                image = [eval_terms(num, point) / d for (num, _), d in zip(parts, dens)]
                 distances.append(_image_distance(image, candidate))
         return min(distances, default=math.inf)
 

@@ -57,7 +57,6 @@ from radsurj.ideal import DEFAULT_STEP_BUDGET, common_zeros
 from radsurj.sampler import (
     DEFAULT_BRANCH_TOL,
     SampleReport,
-    _image_distance,
     default_samples,
     enumerate_branches,
 )
@@ -284,6 +283,17 @@ def sample_images_ref(param, samples=None, tol=DEFAULT_BRANCH_TOL, implicit=None
     return SampleReport(len(samples), columns, rejected, max_residual, tol)
 
 
+def image_distance_ref(image, cand) -> float:
+    """Euclidean distance of two images, the squares added left to right.
+
+    Not sum(): from Python 3.12 on it adds floats with compensation.
+    """
+    total = 0.0
+    for x, c in zip(image, cand):
+        total += abs(x - c) ** 2
+    return math.sqrt(total)
+
+
 def nearest_cloud_point_ref(report: SampleReport, m: int, cand) -> tuple[complex | None, float]:
     """The parameter value of the cloud row nearest to cand, and its
     distance; (None, inf) when no row is nearer than inf.
@@ -294,7 +304,7 @@ def nearest_cloud_point_ref(report: SampleReport, m: int, cand) -> tuple[complex
     """
     best, dist = None, float("inf")
     for row in zip(*report.columns):
-        d = _image_distance(row[1 + m :], cand)
+        d = image_distance_ref(row[1 + m :], cand)
         if d < dist:
             best, dist = row[0], d
     return best, dist
@@ -339,7 +349,7 @@ def probe_ref(param, candidate: tuple[complex, ...], t: complex, tol: float) -> 
         dens = [c.denominator.eval_complex(point) for c in param.components]
         if not any(abs(d) <= tol for d in dens):
             image = [c.numerator.eval_complex(point) / d for c, d in zip(param.components, dens)]
-            distances.append(_image_distance(image, candidate))
+            distances.append(image_distance_ref(image, candidate))
     return min(distances, default=math.inf)
 
 

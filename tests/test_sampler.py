@@ -33,6 +33,7 @@ from support import (
     T_ONLY,
     complex_eval_corpus,
     enumerate_branches_ref,
+    image_distance_ref,
     nearest_cloud_point_ref,
     probe_ref,
     random_poly,
@@ -316,6 +317,7 @@ def confirm_like_the_row_loop(monkeypatch, param, samples, cands):
     images = cloud.columns[1 + param.tower.m :]
     for cand in cands:
         rows = [sampler._image_distance(row, cand) for row in zip(*images)]
+        assert repr(rows) == repr([image_distance_ref(row, cand) for row in zip(*images)])
         assert repr(sampler._cloud_distances(images, cand)) == repr(rows)
     refine = sampler._refine
     seeds = []
@@ -362,14 +364,6 @@ def test_confirm_candidates_seeds_at_the_row_loops_nearest_point(monkeypatch):
     assert doc["accepted"] == 0 and doc["candidates"][0]["distance"] is None
 
 
-def fold(squares):
-    """The left fold _image_distance adds its squares in."""
-    total = 0.0
-    for q in squares:
-        total += q
-    return total
-
-
 def test_nearest_scan_matches_image_distance_on_one_to_three_coordinates(monkeypatch):
     # a nan coordinate (inf - inf in the denominator at t = 1e10), an
     # infinite one (10^10 * t^30 at t = 1e10, finite wherever the ring
@@ -394,9 +388,10 @@ def test_nearest_scan_matches_image_distance_on_one_to_three_coordinates(monkeyp
     comps = [(Fraction(3, 2) * tt, unit), (small * tt, unit), (small * tt, unit)]
     param = normalize_param(RadicalTower(T_ONLY, []), comps)[0]
     cloud, _, _ = confirm_like_the_row_loop(monkeypatch, param, [1 + 0j, -1 + 0j], [(0j,) * 3])
-    squares = [abs(x) ** 2 for x in next(zip(*cloud.columns[1:]))]
-    assert math.sqrt(fold(squares)) != math.sqrt(math.fsum(squares))
-    assert sampler._cloud_distances(cloud.columns[1:], (0j,) * 3)[0] == math.sqrt(fold(squares))
+    row = next(zip(*cloud.columns[1:]))
+    want = image_distance_ref(row, (0j,) * 3)
+    assert want != math.sqrt(math.fsum(abs(x) ** 2 for x in row))
+    assert sampler._cloud_distances(cloud.columns[1:], (0j,) * 3)[0] == want
 
 
 # ----------------------------------------------------------------------
@@ -598,7 +593,7 @@ def test_probe_is_the_nearest_image_of_the_point_loop():
             tol = rng.choice((0.0, sampler.DEFAULT_BRANCH_TOL, 0.5))
             images = sample_images_ref(param, [t0], tol).columns[1 + param.tower.m :]
             rows = zip(*images)
-            want = min((sampler._image_distance(row, cand) for row in rows), default=math.inf)
+            want = min((image_distance_ref(row, cand) for row in rows), default=math.inf)
             assert repr(sampler._prober(param, cand, tol)(t0)) == repr(want)
 
 
