@@ -28,8 +28,13 @@ Exact quotients come only from there.
 
 Remainders run on a second packing, one int per monomial that compares
 as a TermOrder does and shifts and tests divisibility by integer
-operations.  reduce_full is the one reduction loop on it: poly_rem,
-tower.normal_form and ideal.buchberger all run it.
+operations, with integer coefficients: TermOrder.pack clears the
+denominators once.  reduce_full is the one reduction loop on it, and it
+is fraction-free (Bareiss, Math. Comp. 1968; Geddes, Czapor and Labahn,
+Algorithms for Computer Algebra, 1992, ch. 10): a step scales the tail
+by an integer so that its lead cancels, and a running denominator gives
+the exact remainder back.  poly_rem, tower.normal_form and
+ideal.buchberger all run it.
 """
 
 from __future__ import annotations
@@ -558,8 +563,8 @@ def leading_form(f: MultiPoly, wv: WeightVector) -> MultiPoly:
 # term orders and reduction on packed order keys
 
 _FIELD = (1 << 32) - 1
-Terms = dict[int, Fraction]  # packed key -> coefficient
-Lead = tuple[Exponent, int, Fraction, int]  # exponent, key, coefficient, divisor mask
+Terms = dict[int, int]  # packed key -> integer coefficient
+Lead = tuple[Exponent, int, int, int]  # exponent, key, coefficient, divisor mask
 
 
 @dataclass(frozen=True)
@@ -631,13 +636,15 @@ class TermOrder:
         expo = max(f.coeffs, key=self.key)
         return expo, f.coeffs[expo]
 
-    def pack(self, f: MultiPoly) -> Terms:
-        """f's term map keyed by packed order keys."""
-        return {self.key(e): c for e, c in f.coeffs.items()}
+    def pack(self, f: MultiPoly) -> tuple[Terms, int]:
+        """(f * D keyed by packed order keys, D), D the lcm of f's denominators."""
+        d = math.lcm(*(c.denominator for c in f.coeffs.values()))
+        return {self.key(e): c.numerator * (d // c.denominator) for e, c in f.coeffs.items()}, d
 
-    def poly(self, terms: Terms) -> MultiPoly:
-        """The polynomial of a packed term map, in the map's key order."""
-        return MultiPoly._raw(self.table, {self.unpack(k): c for k, c in terms.items()})
+    def poly(self, terms: Terms, denom: int) -> MultiPoly:
+        """The polynomial with coefficient terms[k] / denom at each key k,
+        in the map's key order."""
+        return MultiPoly._raw(self.table, {self.unpack(k): Fraction(n, denom) for k, n in terms.items()})
 
     def lead(self, f: Terms) -> Lead:
         """Leading exponent, key, coefficient and divisor mask of nonzero f."""
@@ -657,28 +664,40 @@ class Budget:
             raise ResourceError("Groebner step budget exhausted")
 
 
-def _sub_shifted(acc: Terms, g: Terms, lead: int, shift: int, q: Fraction, guards: int) -> None:
-    """acc -= q * x^s * g in place, skipping g's lead term, which the
-    caller has already cancelled; shift = key(s) - key(0).  Keys keep
-    their places and new ones follow in g's order."""
+def _sub_shifted(acc: Terms, g: Terms, lead: int, shift: int, a: int, b: int, guards: int) -> None:
+    """acc := a * acc - b * x^s * g in place, skipping g's lead term,
+    which the caller has already cancelled; shift = key(s) - key(0).
+    Keys keep their places and new ones follow in g's order."""
+    if a != 1:
+        for k in acc:
+            acc[k] *= a
+    get = acc.get
     for k, c in g.items():
         if k == lead:
             continue
         k += shift
         if k & guards:
             raise ResourceError("exponent too large for a packed monomial key")
-        v = acc.get(k, 0) - q * c
+        v = get(k, 0) - b * c
         if v:
             acc[k] = v
         else:
             del acc[k]
 
 
-def reduce_full(f: Terms, basis: Sequence[Terms], leads: Sequence[Lead], order: TermOrder, budget: Budget) -> Terms:
-    """Fully reduce f: no remaining monomial divisible by a basis lead.
+def reduce_full(
+    f: Terms, denom: int, basis: Sequence[Terms], leads: Sequence[Lead], order: TermOrder, budget: Budget
+) -> tuple[Terms, int]:
+    """Fully reduce f / denom: no remaining monomial divisible by a basis lead.
 
-    The tail's leading term is reduced by the first basis element whose
-    lead divides it, one budget step each, or else moved to the result.
+    Returns (r, D) with r / D the remainder.  The tail's leading term c
+    is reduced by the first basis element whose lead L divides it, one
+    budget step each, or else moved to the result.  A step scales the
+    tail by a = L / gcd(L, c) > 0 and subtracts the cancelling multiple
+    of the element, so it runs the steps of division over Q times a
+    nonzero constant: the same leads, zeros and key order.  After a
+    step with a != 1, the gcd of D and every coefficient is divided
+    out, which keeps the integers at the size of the reduced fractions.
     """
     emask, eguard, guards = order.masks
     tail = dict(f)
@@ -690,20 +709,33 @@ def reduce_full(f: Terms, basis: Sequence[Terms], leads: Sequence[Lead], order: 
         for g, (_, lk, lc, mask) in zip(basis, leads):
             if (mask - m) & eguard == eguard:
                 budget.spend()
-                _sub_shifted(tail, g, lk, k - lk, c / lc, guards)
+                h = math.gcd(lc, c)
+                a, b = (lc // h, c // h) if lc > 0 else (-lc // h, -c // h)
+                _sub_shifted(tail, g, lk, k - lk, a, b, guards)
+                if a != 1:
+                    for d in done:
+                        done[d] *= a
+                    denom *= a
+                    h = math.gcd(denom, *tail.values(), *done.values())
+                    if h > 1:
+                        denom //= h
+                        tail = {d: v // h for d, v in tail.items()}
+                        done = {d: v // h for d, v in done.items()}
                 break
         else:
             done[k] = c
-    return done
+    return done, denom
 
 
 def spoly(f: Terms, f_lead: Lead, g: Terms, g_lead: Lead, order: TermOrder) -> Terms:
-    """lcm/lt(f) * f - lcm/lt(g) * g; the two lead terms cancel."""
+    """A nonzero multiple of lcm/lt(f) * f - lcm/lt(g) * g, gc/h * x^s * f
+    - fc/h * x^u * g with h = gcd(fc, gc); the two lead terms cancel."""
     (fe, fk, fc, _), (ge, gk, gc, _) = f_lead, g_lead
     lcm, guards = order.key(tuple(map(max, fe, ge))), order.masks[2]
+    h = math.gcd(fc, gc)
     acc: Terms = {}
-    _sub_shifted(acc, f, fk, lcm - fk, -1 / fc, guards)
-    _sub_shifted(acc, g, gk, lcm - gk, 1 / gc, guards)
+    _sub_shifted(acc, f, fk, lcm - fk, 1, -gc // h, guards)
+    _sub_shifted(acc, g, gk, lcm - gk, 1, fc // h, guards)
     return acc
 
 
@@ -723,9 +755,9 @@ def poly_rem(f: MultiPoly, g: MultiPoly, budget: Budget | None = None) -> MultiP
     if g.is_zero():
         raise DomainError("division by the zero polynomial")
     order = TermOrder.grevlex(f.table)
-    gk = order.pack(g)
+    (fk, denom), (gk, _) = order.pack(f), order.pack(g)
     budget = Budget(math.inf) if budget is None else budget
-    return order.poly(reduce_full(order.pack(f), [gk], [order.lead(gk)], order, budget))
+    return order.poly(*reduce_full(fk, denom, [gk], [order.lead(gk)], order, budget))
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,13 @@ coprime-leading-monomial criterion, always returning the reduced basis
 generators reproduce it bit for bit).  The term orders, packed
 monomial keys and the reduction loop live in arith (TermOrder,
 reduce_full, spoly); this module holds the pair loop and its
-consumers.  A block degree past CAP = 2^31 - 1 does not fit a key, and
-a step budget guards against runaway computations; both raise
-ResourceError so callers can degrade to cheaper sufficient checks.
+consumers.  The loop runs on integer coefficients: each basis element
+is kept as a primitive integer multiple, S-polynomials and remainders
+are taken up to a constant, and each element of the answer is made
+monic once, by its own reduced lead.  A block degree past CAP =
+2^31 - 1 does not fit a key, and a step budget guards against runaway
+computations; both raise ResourceError so callers can degrade to
+cheaper sufficient checks.
 
 Term orders: graded reverse lexicographic, and a block order (grevlex
 within each block) whose first block is eliminated.  A monomial
@@ -19,6 +23,7 @@ one, which is what makes elimination ideals drop out of a basis.
 from __future__ import annotations
 
 import heapq
+import math
 from operator import le
 from typing import Sequence
 
@@ -45,6 +50,9 @@ def buchberger(
     pairs: list[tuple[int, int, int]] = []  # (degree of the lead lcm, i, j)
 
     def add(r: Terms) -> None:
+        h = math.gcd(*r.values())
+        if h > 1:
+            r = {k: c // h for k, c in r.items()}
         lead = order.lead(r)
         for i, (e, *_) in enumerate(leads):
             heapq.heappush(pairs, (sum(map(max, e, lead[0])), i, len(basis)))
@@ -53,8 +61,8 @@ def buchberger(
 
     for g in work:
         # interreduce the inputs a little; keeps pair counts down
-        r = order.pack(g)
-        r = reduce_full(r, basis, leads, order, budget) if basis else r
+        r = order.pack(g)[0]
+        r = reduce_full(r, 1, basis, leads, order, budget)[0] if basis else r
         if r:
             add(r)
     while pairs:
@@ -62,7 +70,8 @@ def buchberger(
         if all(a == 0 or b == 0 for a, b in zip(leads[i][0], leads[j][0])):
             continue  # coprime leading monomials: S-poly reduces to zero
         budget.spend()
-        r = reduce_full(spoly(basis[i], leads[i], basis[j], leads[j], order), basis, leads, order, budget)
+        s = spoly(basis[i], leads[i], basis[j], leads[j], order)
+        r = reduce_full(s, 1, basis, leads, order, budget)[0]
         if r:
             add(r)
     # minimal: drop elements whose lead another lead divides
@@ -71,16 +80,17 @@ def buchberger(
         for i, (e, *_) in enumerate(leads)
         if not any(j != i and all(map(le, d, e)) and (d != e or j < i) for j, (d, *_) in enumerate(leads))
     ]
-    # interreduce tails against the other kept elements, make monic and
-    # unpack; no other kept lead divides an element's lead, so it survives
+    # interreduce tails against the other kept elements, make monic by
+    # its own reduced lead and unpack; no other kept lead divides an
+    # element's lead, so it survives
     reduced: list[tuple[int, MultiPoly]] = []
     for i in keep:
         others = [j for j in keep if j != i]
         g = basis[i]
         if others:
-            g = reduce_full(g, [basis[j] for j in others], [leads[j] for j in others], order, budget)
-        inv = 1 / leads[i][2]
-        reduced.append((leads[i][1], order.poly({k: inv * c for k, c in g.items()})))
+            g = reduce_full(g, 1, [basis[j] for j in others], [leads[j] for j in others], order, budget)[0]
+        lk = leads[i][1]
+        reduced.append((lk, order.poly(g, g[lk])))
     reduced.sort(key=lambda kr: kr[0], reverse=True)
     return tuple(g for _, g in reduced)
 

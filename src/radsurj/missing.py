@@ -322,7 +322,7 @@ def plane_curve(
         coeffs = [modular.rational_reconstruction(u, modulus) for u in residues]
         if None in coeffs:
             continue
-        f = order.poly({order.key(monos[i]): coeffs[i] for i in reversed(range(lead + 1)) if coeffs[i]})
+        f = MultiPoly(table, {monos[i]: coeffs[i] for i in reversed(range(lead + 1)) if coeffs[i]})
         if f != tried and _vanishes(f, param):
             return f
         tried = f

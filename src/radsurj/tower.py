@@ -188,8 +188,8 @@ def normal_form(f: MultiPoly, tower: RadicalTower) -> MultiPoly:
         if f.degree(names.index(level.name)) < level.exponent:
             continue
         order = TermOrder.block(f.table, [level.name], [n for n in names if n != level.name])
-        g = order.pack(tower.level_poly(i, f.table))
-        f = order.poly(reduce_full(order.pack(f), [g], [order.lead(g)], order, Budget(inf)))
+        (fk, denom), (g, _) = order.pack(f), order.pack(tower.level_poly(i, f.table))
+        f = order.poly(*reduce_full(fk, denom, [g], [order.lead(g)], order, Budget(inf)))
     return f
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 from operator import add
 from random import Random
@@ -6,17 +8,24 @@ from random import Random
 import pytest
 import sympy
 
-from radsurj.arith import CAP, Budget, MultiPoly, Role, TermOrder, VarTable, reduce_full, spoly
+from radsurj import arith, ideal, tower
+from radsurj.arith import CAP, Budget, MultiPoly, Role, TermOrder, VarTable, poly_rem, reduce_full, spoly
 from radsurj.errors import ResourceError, StructuralError
 from radsurj.ideal import buchberger, common_zeros, elimination_ideal
+from radsurj.tower import RadicalLevel, RadicalTower, normal_form
 
 from support import (
+    T_ONLY,
     TD1,
     TD12,
     buchberger_ref,
     divides_ref,
+    normal_form_ref,
+    poly_divmod_ref,
     random_nonzero_poly,
     random_poly,
+    random_poly_bounded,
+    random_tower,
     reduce_full_ref,
     term_order_key_ref,
     to_sympy,
@@ -105,8 +114,8 @@ def test_packed_key_round_trips_shifts_and_divides():
                 assert order.unpack(order.key(a)) == a
                 assert order.key(tuple(map(add, a, b))) == order.key(a) + order.key(b) - zero
                 # the reduction loop's mask test: x^b reduces to 0 by x^a iff a | b
-                g = {order.key(a): Fraction(1)}
-                rest = reduce_full({order.key(b): Fraction(1)}, [g], [order.lead(g)], order, Budget(1))
+                g = {order.key(a): 1}
+                rest, _ = reduce_full({order.key(b): 1}, 1, [g], [order.lead(g)], order, Budget(1))
                 assert (not rest) == divides_ref(a, b)
 
 
@@ -165,15 +174,15 @@ def test_reduced_basis_invariant_under_permutation():
 def test_buchberger_self_criterion():
     gens = [d1**2 - t, t * d1 - 1]
     basis = buchberger(gens, GREVLEX)
-    out = [GREVLEX.pack(g) for g in basis]
+    out = [GREVLEX.pack(g)[0] for g in basis]
     leads = [GREVLEX.lead(g) for g in out]
     budget = Budget(10**6)
 
-    def reduce(f):
-        return GREVLEX.poly(reduce_full(f, out, leads, GREVLEX, budget))
+    def reduce(f, denom=1):
+        return GREVLEX.poly(*reduce_full(f, denom, out, leads, GREVLEX, budget))
 
     for g in gens:
-        assert reduce(GREVLEX.pack(g)).is_zero()
+        assert reduce(*GREVLEX.pack(g)).is_zero()
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             s = spoly(out[i], leads[i], out[j], leads[j], GREVLEX)
@@ -202,14 +211,14 @@ def test_reduction_matches_immutable_reference():
                 for _ in range(rng.randint(1, 3))
             ]
             leads = [order.leading(g) for g in basis]
-            packed = [order.pack(g) for g in basis]
+            packed = [order.pack(g)[0] for g in basis]
             packed_leads = [order.lead(g) for g in packed]
             f = random_poly(rng, TD12, max_exp=3, max_terms=4)
             for g in basis:
                 f = f + random_poly(rng, TD12, max_exp=2, max_terms=3) * g
             limit = rng.choice([10**6, rng.randint(0, 8)])
             got, spent = _reduce_or_raise(
-                lambda b: order.poly(reduce_full(order.pack(f), packed, packed_leads, order, b)),
+                lambda b: order.poly(*reduce_full(*order.pack(f), packed, packed_leads, order, b)),
                 Budget(limit),
             )
             want, want_spent = _reduce_or_raise(
@@ -229,7 +238,10 @@ def test_reduction_matches_immutable_reference():
                 want_s = MultiPoly.monomial(TD12, shift_f, 1 / fc) * basis[i] - (
                     MultiPoly.monomial(TD12, shift_g, 1 / gc) * basis[j]
                 )
-                got_s = order.poly(spoly(packed[i], packed_leads[i], packed[j], packed_leads[j], order))
+                # spoly returns want_s times fc * gc / gcd(fc, gc)
+                pf, pg = packed_leads[i][2], packed_leads[j][2]
+                s = spoly(packed[i], packed_leads[i], packed[j], packed_leads[j], order)
+                got_s = order.poly(s, pf * pg // math.gcd(pf, pg))
                 assert got_s == want_s
                 assert list(got_s.coeffs) == list(want_s.coeffs)
     assert 0 < exhausted < 60
@@ -315,6 +327,92 @@ def test_buchberger_matches_tuple_reference():
                 runs += 1
     assert runs >= 200
     assert 0 < exhausted < runs
+
+
+def _rational(rng, f):
+    """f with every coefficient replaced by a random p/q, 0 < |p| <= 60, q <= 7."""
+    return MultiPoly(
+        f.table, {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 7)) for e in f.coeffs}
+    )
+
+
+def _normal_form_by_reference_loop(f, tw):
+    # tower.normal_form with each level's reduction run by reduce_full_ref
+    for i in reversed(range(tw.m)):
+        name, e = tw.levels[i].name, tw.levels[i].exponent
+        if f.degree(f.table.index(name)) >= e:
+            order = TermOrder.block(f.table, [name], [n for n in f.table.names if n != name])
+            f = reduce_full_ref(f, [tw.level_poly(i, f.table)], order, Budget(math.inf))
+    return f
+
+
+def test_integer_loop_matches_rational_references(monkeypatch):
+    # non-unit rational coefficients: the integer loop scales the tail,
+    # meets negative leads and divides contents out, and still gives the
+    # remainders, bases, key order and budget use of division over Q
+    real_sub, real_reduce, steps, seen = arith._sub_shifted, arith.reduce_full, [], Counter()
+
+    def sub(acc, g, lead, shift, a, b, guards):
+        assert a > 0
+        steps.append((a, g[lead]))
+        real_sub(acc, g, lead, shift, a, b, guards)
+
+    def reduce(f, denom, *rest):
+        steps.clear()  # spoly's two calls come before
+        r, d = real_reduce(f, denom, *rest)
+        seen["scaled"] += sum(a != 1 for a, _ in steps)
+        seen["negative lead"] += sum(lc < 0 for _, lc in steps)
+        seen["content"] += 0 < d < denom * math.prod(a for a, _ in steps)
+        return r, d
+
+    monkeypatch.setattr(arith, "_sub_shifted", sub)
+    for module in (arith, ideal, tower):
+        monkeypatch.setattr(module, "reduce_full", reduce)
+    rng = Random(2030)
+    runs = exhausted = 0
+    for table in (TD12, _table(4)):
+        for order in _orders(table, rng):
+            for _ in range(8):
+                gens = [
+                    _rational(rng, random_nonzero_poly(rng, table, max_exp=2, max_terms=3))
+                    for _ in range(rng.randint(2, 3))
+                ]
+                limit = rng.choice([2000, rng.randint(0, 40)])
+                got = _basis_or_exhausted(lambda: buchberger(gens, order, limit))
+                want = _basis_or_exhausted(lambda: buchberger_ref(gens, order, limit))
+                assert got == want
+                if want == "exhausted":
+                    exhausted += 1
+                else:
+                    assert [list(g.coeffs) for g in got] == [list(g.coeffs) for g in want]
+                runs += 1
+    assert 0 < exhausted < runs
+    for _ in range(40):
+        tw = random_tower(rng, rng.randint(1, 3))
+        levels = [RadicalLevel(lv.name, lv.exponent, _rational(rng, lv.radicand)) for lv in tw.levels]
+        tw = RadicalTower(tw.table, levels)
+        bounds = [4] + [3 * lv.exponent for lv in tw.levels]
+        f = _rational(rng, random_poly_bounded(rng, tw.table, bounds, max_terms=5))
+        got = normal_form(f, tw)
+        assert got == normal_form_ref(f, tw)
+        assert list(got.coeffs) == list(_normal_form_by_reference_loop(f, tw).coeffs)
+    exhausted = 0
+    for _ in range(60):
+        g = _rational(rng, random_nonzero_poly(rng, TD12, max_exp=2, max_terms=3))
+        f = _rational(rng, random_nonzero_poly(rng, TD12, max_exp=2, max_terms=3)) * g
+        assert poly_rem(f, g).is_zero() and poly_divmod_ref(f, g)[1].is_zero()
+        f = _rational(rng, random_nonzero_poly(rng, T_ONLY, max_exp=9, max_terms=6))
+        g = _rational(rng, random_nonzero_poly(rng, T_ONLY, max_exp=4, max_terms=3))
+        limit = rng.choice([None, rng.randint(0, 6)])
+        want = _basis_or_exhausted(lambda: poly_divmod_ref(f, g, limit)[1])
+        got = _basis_or_exhausted(lambda: poly_rem(f, g, None if limit is None else Budget(limit)))
+        assert got == want
+        if want == "exhausted":
+            exhausted += 1
+        else:
+            assert list(got.coeffs) == list(want.coeffs)
+    assert 0 < exhausted < 60
+    assert min(seen.values()) >= 20 and len(seen) == 3, seen
 
 
 # ----------------------------------------------------------------------
